@@ -12,9 +12,8 @@
 //! scales with one policy, not the figure's full variant grid.
 
 use experiments::runner::{AloneIpcCache, PolicyKind};
-use experiments::telemetry::{
-    artifact_dir_from_env, export_variant_traces, run_variant_grid_traced,
-};
+use experiments::telemetry::{artifact_dir_from_env, export_variant_traces};
+use experiments::Grid;
 use mem_sim::SystemConfig;
 use workloads::{bandwidth_sensitive, rate_mix};
 
@@ -41,9 +40,13 @@ pub fn maybe_emit_window_traces(figure: &str, config: &SystemConfig, instruction
         .map(|s| rate_mix(s, config.cores))
         .collect();
     let alone = AloneIpcCache::new();
-    let variants: Vec<(&SystemConfig, PolicyKind, &str)> = vec![(config, PolicyKind::Dap, "dap")];
-    let (_, telemetry) = run_variant_grid_traced(&variants, &mixes, instructions, &alone);
-    let variant = &telemetry[0];
+    let grid = Grid::new(&[(config, PolicyKind::Dap)], &mixes, instructions, &alone)
+        .traced(&["dap"])
+        .run();
+    if let Some(error) = grid.errors.first() {
+        panic!("{error}");
+    }
+    let variant = &grid.telemetry[0];
     match export_variant_traces(&dir, figure, WINDOW_CYCLES, variant) {
         Ok(paths) => {
             println!();

@@ -79,17 +79,6 @@
 //!     hard-fails, so a stale file can't masquerade as a result); with
 //!     --metrics-addr the same live exposition is served over HTTP
 //!     (GET /metrics, /healthz) for mid-run scraping.
-//! dapctl bench [--label L] [--out DIR] [--instructions N]
-//!              [--compare BASELINE.json] [--threshold PCT] [--warn-only]
-//!              [--update-baseline LABEL]
-//!     Time the pinned regression suite and write BENCH_<label>.json.
-//!     With --compare, flag cells slower than the baseline by more than
-//!     the threshold (default 10%) and exit 3 (0 with --warn-only);
-//!     unless --instructions is given, the run adopts the baseline's
-//!     recorded per-core budget so the wall-clock times are comparable.
-//!     With --update-baseline, write BENCH_<LABEL>.json into the
-//!     repository's pinned `crates/bench/baselines/` directory instead
-//!     of `target/bench/`.
 //! ```
 //!
 //! All subcommands also accept `--threads N` (worker threads for any
@@ -104,7 +93,7 @@ use mem_sim::{SubsystemTelemetry, System, SystemConfig};
 use workloads::{rate_mode, spec, TraceFile};
 
 const HELP: &str = "\
-dapctl — driver for the DAP reproduction: simulations, traces, benches, daemon
+dapctl — driver for the DAP reproduction: simulations, traces, explorer, daemon
 
 subcommands:
   list                       List the benchmark clones and their parameters.
@@ -115,7 +104,6 @@ subcommands:
   trace summarize <file>     Summarize a window-trace artifact leniently.
   explore                    Explore a design-space grid with a crash-
                              tolerant multi-process worker fleet.
-  bench                      Time the pinned regression suite (incl. dapd).
   serve                      Run the dapd partitioning daemon on a socket.
   loadgen                    Drive a running dapd daemon with clone traffic.
   top <addr>                 Live operator view of a serving daemon's /varz.
@@ -126,10 +114,6 @@ common flags:
   --policy P     baseline|dap|ta-dap|sbd|sbd-wt|batman   --cores N
   --arch A       sectored|alloy|edram                    --instructions N
   --ops N        --out DIR   --threads N   --audit[=strict|observe|off]
-
-bench flags:
-  --label L   --compare FILE   --threshold PCT   --warn-only
-  --update-baseline LABEL
 
 explore flags:
   --grid <smoke|std>   --workers N   --ttl-ms MS   --poison-k K
@@ -144,8 +128,8 @@ daemon flags (serve/loadgen):
 ops flags (top/scrape):
   --interval-ms MS   --iterations N   --path P   --check
 
-exit codes: 0 ok, 2 usage, 3 bench regression, 4 artifact parse errors,
-5 unknown subcommand, 130 interrupted
+exit codes: 0 ok, 2 usage, 4 artifact parse errors, 5 unknown subcommand,
+130 interrupted
 ";
 
 fn usage() -> ! {
@@ -159,8 +143,7 @@ fn usage() -> ! {
 const EXIT_UNKNOWN_SUBCOMMAND: i32 = 5;
 
 /// Exit status when `trace summarize` skipped unparseable records and
-/// `--lenient-ok` was not given. Distinct from usage errors (2) and
-/// bench regressions (3).
+/// `--lenient-ok` was not given. Distinct from usage errors (2).
 const EXIT_PARSE_ERRORS: i32 = 4;
 
 struct Args {
@@ -171,12 +154,7 @@ struct Args {
     instructions: Option<u64>,
     ops: u64,
     out: Option<String>,
-    label: String,
-    compare: Option<String>,
-    threshold: f64,
-    warn_only: bool,
     lenient_ok: bool,
-    update_baseline: Option<String>,
     socket: Option<String>,
     tcp: Option<String>,
     resolve_every: u32,
@@ -212,12 +190,7 @@ fn parse_args() -> Args {
         instructions: None,
         ops: 100_000,
         out: None,
-        label: "local".to_string(),
-        compare: None,
-        threshold: dap_bench::regress::DEFAULT_THRESHOLD_PCT,
-        warn_only: false,
         lenient_ok: false,
-        update_baseline: None,
         socket: None,
         tcp: None,
         resolve_every: 64,
@@ -274,15 +247,6 @@ fn parse_args() -> Args {
             }
             "--ops" => args.ops = value("--ops").parse().unwrap_or_else(|_| usage()),
             "--out" => args.out = Some(value("--out")),
-            "--label" => args.label = value("--label"),
-            "--compare" => args.compare = Some(value("--compare")),
-            "--threshold" => {
-                args.threshold = value("--threshold").parse().unwrap_or_else(|_| usage())
-            }
-            "--warn-only" => args.warn_only = true,
-            "--update-baseline" => {
-                args.update_baseline = Some(value("--update-baseline"));
-            }
             "--lenient-ok" => args.lenient_ok = true,
             "--socket" => args.socket = Some(value("--socket")),
             "--tcp" => args.tcp = Some(value("--tcp")),
@@ -576,69 +540,6 @@ fn main() {
                 println!("artifacts:");
                 println!("  {}", jsonl.display());
                 println!("  {}", csv.display());
-            }
-            Some("bench") => {
-                // Parse the baseline up front (when comparing) so the
-                // run can adopt its recorded per-core budget: comparing
-                // wall times across different budgets is meaningless and
-                // compare() rejects it.
-                let baseline = args.compare.as_ref().map(|baseline_path| {
-                    let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-                        eprintln!("error: cannot read baseline {baseline_path}: {e}");
-                        std::process::exit(1);
-                    });
-                    dap_bench::regress::report_from_json(&text).unwrap_or_else(|e| {
-                        eprintln!("error: baseline {baseline_path}: {e}");
-                        std::process::exit(1);
-                    })
-                });
-                // The suite default is smaller than the ad-hoc `run`
-                // default: four cells run back to back.
-                let instructions = args
-                    .instructions
-                    .or(baseline.as_ref().map(|b| b.instructions))
-                    .unwrap_or(150_000);
-                let label = args.update_baseline.as_ref().unwrap_or(&args.label);
-                let report = dap_bench::regress::run_suite(label, instructions);
-                print!("{}", dap_bench::regress::render_report(&report));
-                // --update-baseline pins the report next to the sources
-                // (the path is compiled in; the tool is repo-local), so a
-                // fresh machine class can re-anchor `--compare` in one
-                // step instead of hand-copying from target/.
-                let dir = if args.update_baseline.is_some() {
-                    std::path::PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/baselines"))
-                } else {
-                    std::path::PathBuf::from(args.out.as_deref().unwrap_or("target/bench"))
-                };
-                match dap_bench::regress::write_report(&dir, &report) {
-                    Ok(path) => println!("report: {}", path.display()),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(1);
-                    }
-                }
-                if let (Some(baseline), Some(baseline_path)) = (baseline, &args.compare) {
-                    let regressions =
-                        dap_bench::regress::compare(&report, &baseline, args.threshold);
-                    if regressions.is_empty() {
-                        println!(
-                            "compare: no regressions vs {} ({}%, baseline {})",
-                            baseline_path, args.threshold, baseline.label
-                        );
-                    } else {
-                        for regression in &regressions {
-                            eprintln!("regression: {regression}");
-                        }
-                        if args.warn_only {
-                            eprintln!(
-                                "compare: {} regression(s) vs {baseline_path} (warn-only)",
-                                regressions.len()
-                            );
-                        } else {
-                            std::process::exit(dap_bench::regress::EXIT_REGRESSION);
-                        }
-                    }
-                }
             }
             Some("help") => print!("{HELP}"),
             Some("explore") => explore(&args),

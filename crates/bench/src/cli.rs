@@ -14,8 +14,10 @@
 //! honors the global cancel token at window granularity, and an
 //! interrupted run exits with
 //! [`EXIT_INTERRUPTED`](experiments::EXIT_INTERRUPTED) (130) after its
-//! checkpoint manifest and telemetry artifacts have been flushed, so a
-//! `DAP_RESUME` re-run completes the figure bit-identically.
+//! checkpoint manifest and telemetry artifacts have been flushed. Every
+//! mix × variant figure checkpoints through
+//! [`Grid`](experiments::Grid), so a run started with `DAP_RESUME` and
+//! re-run with the same manifest completes the figure bit-identically.
 
 use experiments::exec::set_thread_override;
 use experiments::{global_cancel_token, EXIT_INTERRUPTED};
@@ -84,7 +86,7 @@ pub fn parse_figure_args(binary: &str) {
                 "{binary}: unknown argument `{a}`\n\
                  usage: {binary} [--threads N] [--audit[=strict|observe|off]]   \
                  (env: DAP_THREADS, DAP_INSTRUCTIONS, DAP_AUDIT, DAP_CELL_DEADLINE_MS, \
-                 DAP_TELEMETRY, DAP_TELEMETRY_DIR)"
+                 DAP_RESUME, DAP_TELEMETRY, DAP_TELEMETRY_DIR)"
             );
             std::process::exit(2);
         }
@@ -125,8 +127,8 @@ pub fn run_interruptible(binary: &str, body: impl FnOnce()) -> ! {
     drop(armed);
     if token.is_cancelled() {
         eprintln!(
-            "{binary}: interrupted; finished cells are checkpointed — \
-             re-run with DAP_RESUME=<manifest> to continue"
+            "{binary}: interrupted; under DAP_RESUME=<manifest>, finished grid cells \
+             are checkpointed there — re-run with the same manifest to continue"
         );
         std::process::exit(EXIT_INTERRUPTED);
     }

@@ -1,8 +1,9 @@
 //! # dap-bench — the benchmark harness
 //!
 //! One binary per paper figure/table (`cargo run --release -p dap-bench
-//! --bin fig06_dap_sectored`), plus dependency-free microbenchmarks for
-//! the hot structures (`cargo bench`) built on [`timing::Harness`].
+//! --bin fig06_dap_sectored`), the `dapctl` driver, and `dapbench`, the
+//! seeded end-to-end and per-layer benchmark of the simulator, the
+//! figure grid, and `dapd` over a real socket.
 //!
 //! Every binary accepts the `DAP_INSTRUCTIONS` environment variable to
 //! override the per-core instruction budget; larger budgets reduce warmup
@@ -18,9 +19,7 @@
 
 pub mod artifacts;
 pub mod cli;
-pub mod regress;
 pub mod sigint;
-pub mod timing;
 
 /// Per-core instruction budget: `DAP_INSTRUCTIONS` env var or `default`.
 /// A set-but-invalid value is a usage error: the process prints a

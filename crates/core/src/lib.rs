@@ -64,7 +64,9 @@ pub mod telemetry;
 // `dap-decide` crate so it can be embedded outside the simulator (the
 // `dapd` daemon, firmware, `no_std` targets). Re-exported module-by-module
 // so every historical `dap_core::<module>::...` path keeps resolving.
-pub use dap_decide::{alloy, bandwidth, config, credits, degrade, edram, ratio, sectored, window};
+pub use dap_decide::{
+    alloy, bandwidth, config, credits, degrade, edram, ratio, sectored, splitmix, window,
+};
 
 pub use alloy::{AlloyDapSolver, AlloyPlan};
 pub use audit::{AuditError, AuditMode, AuditReport, AuditViolation, Invariant, WindowAuditor};

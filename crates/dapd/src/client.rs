@@ -107,8 +107,7 @@ enum Stage {
     Rejected,
 }
 
-/// SplitMix64 — same generator as `workloads::rng`, inlined so the
-/// client crate's dependency set stays unchanged.
+/// Backoff jitter stream over [`dap_decide::splitmix`].
 struct SplitMix64(u64);
 
 impl SplitMix64 {
@@ -117,11 +116,7 @@ impl SplitMix64 {
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        dap_decide::splitmix::next(&mut self.0)
     }
 
     fn below(&mut self, n: u64) -> u64 {

@@ -23,6 +23,7 @@
 //!   for re-solving Eq. 4 against what devices actually deliver.
 //! * [`config`] — the static controller configuration and decision
 //!   statistics shared by every embedding.
+//! * [`splitmix`] — the workspace's one SplitMix64 step and finalizer.
 //!
 //! ## `no_std`
 //!
@@ -48,6 +49,7 @@ pub mod edram;
 mod math;
 pub mod ratio;
 pub mod sectored;
+pub mod splitmix;
 pub mod window;
 
 pub use alloy::{AlloyDapSolver, AlloyPlan};

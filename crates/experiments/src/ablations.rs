@@ -13,7 +13,7 @@ use mem_sim::dram::{DramConfig, RefreshTiming};
 use mem_sim::{CacheKind, SystemConfig};
 use workloads::{heterogeneous_mixes, Mix};
 
-use crate::exec::run_variant_grid;
+use crate::grid::Grid;
 use crate::metrics::{geomean, FigureResult, Row};
 use crate::runner::{AloneIpcCache, PolicyKind, WorkloadRun};
 
@@ -29,7 +29,7 @@ pub fn ablation_thread_aware(instructions: u64) -> FigureResult {
     let alone = AloneIpcCache::new();
     // The dissimilar mixes are the second half of the heterogeneous set.
     let mixes: Vec<Mix> = heterogeneous_mixes().into_iter().skip(13).take(7).collect();
-    let grid = run_variant_grid(
+    let grid = Grid::new(
         &[
             (&config, PolicyKind::Baseline),
             (&config, PolicyKind::Dap),
@@ -38,7 +38,10 @@ pub fn ablation_thread_aware(instructions: u64) -> FigureResult {
         &mixes,
         instructions,
         &alone,
-    );
+    )
+    .run()
+    .into_result()
+    .expect("grid incomplete");
     let rows = mixes
         .iter()
         .zip(&grid)
@@ -91,7 +94,7 @@ fn sweep_point(
     alone: &AloneIpcCache,
 ) -> (f64, f64) {
     let mixes: Vec<Mix> = sensitive_mixes(8).into_iter().take(4).collect();
-    let grid = run_variant_grid(
+    let grid = Grid::new(
         &[
             (reference, PolicyKind::Baseline),
             (config, PolicyKind::Baseline),
@@ -100,7 +103,10 @@ fn sweep_point(
         &mixes,
         instructions,
         alone,
-    );
+    )
+    .run()
+    .into_result()
+    .expect("grid incomplete");
     let mut base_ws = Vec::new();
     let mut dap_ws = Vec::new();
     for runs in &grid {

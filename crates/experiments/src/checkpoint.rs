@@ -3,24 +3,22 @@
 //! A [`CheckpointManifest`] is an append-only JSONL file (or an in-memory
 //! map, for tests) of finished grid cells, each keyed by [`cell_key`] — a
 //! digest of the cell's full [`SystemConfig`] fingerprint (fault schedule
-//! included), policy, mix, and instruction budget. A grid run through
-//! [`run_variant_grid_recovered`] records every finished cell here; after
-//! a crash or kill, re-running the same grid with the same manifest (see
-//! `DAP_RESUME`) answers the finished cells from the manifest and only
-//! simulates the rest.
+//! included), policy, mix, and instruction budget. Every
+//! [`Grid`](crate::grid::Grid) records its finished cells here; after a
+//! crash or kill, re-running the same grid with the same manifest (see
+//! [`resume_manifest`] and `DAP_RESUME`) answers the finished cells from
+//! the manifest and only simulates the rest.
 //!
 //! Loading is lenient by construction: a process killed mid-append leaves
 //! a truncated final line, which must cost that one cell, not the whole
 //! manifest — malformed lines are skipped and counted in
 //! [`CheckpointManifest::parse_errors`].
-//!
-//! [`run_variant_grid_recovered`]: crate::exec::run_variant_grid_recovered
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use dap_flock::FlockGuard;
 use dap_telemetry::json::{obj, parse, Json};
@@ -32,15 +30,31 @@ use crate::fingerprint::ConfigFingerprint;
 use crate::runner::{PolicyKind, WorkloadRun};
 
 /// Environment variable naming the checkpoint manifest to resume from
-/// (and append to): `DAP_RESUME=grid.ckpt fig_fault_degradation`.
+/// (and append to): `DAP_RESUME=grid.ckpt fig06_dap_sectored`.
 pub const RESUME_ENV: &str = "DAP_RESUME";
 
-/// The manifest path requested via [`RESUME_ENV`], if set and non-empty.
-pub fn resume_path_from_env() -> Option<PathBuf> {
-    match std::env::var(RESUME_ENV) {
-        Ok(path) if !path.is_empty() => Some(PathBuf::from(path)),
-        _ => None,
-    }
+/// The process-wide manifest named by [`RESUME_ENV`]: opened on first use
+/// and shared by every [`Grid`](crate::grid::Grid) in the process after
+/// that. `None` when the variable is unset or empty, or when the file
+/// cannot be opened (reported once on stderr).
+pub fn resume_manifest() -> Option<&'static CheckpointManifest> {
+    static RESUME: OnceLock<Option<CheckpointManifest>> = OnceLock::new();
+    RESUME
+        .get_or_init(|| {
+            let path = PathBuf::from(std::env::var_os(RESUME_ENV)?);
+            if path.as_os_str().is_empty() {
+                return None;
+            }
+            CheckpointManifest::open(&path)
+                .map_err(|e| {
+                    eprintln!(
+                        "warning: ignoring unreadable {RESUME_ENV} manifest {}: {e}",
+                        path.display()
+                    );
+                })
+                .ok()
+        })
+        .as_ref()
 }
 
 /// The stable identity of one grid cell: FNV-1a over the configuration
@@ -111,15 +125,16 @@ struct ManifestInner {
     /// lease `done`, then stealing its own expired lease back).
     superseded: Vec<(String, WorkloadRun)>,
     parse_errors: u64,
+    /// How many times the skipped-lines warning was printed (at most once
+    /// per manifest, however many grids share it).
+    parse_warnings: u32,
 }
 
 /// An append-only store of finished grid cells keyed by [`cell_key`].
 ///
-/// Thread-safe: [`run_variant_grid_recovered`] workers record finished
+/// Thread-safe: [`Grid`](crate::grid::Grid) workers record finished
 /// cells concurrently. Each record is one flushed JSONL line, so a crash
 /// loses at most the line being written — which lenient loading skips.
-///
-/// [`run_variant_grid_recovered`]: crate::exec::run_variant_grid_recovered
 pub struct CheckpointManifest {
     inner: Mutex<ManifestInner>,
 }
@@ -169,17 +184,9 @@ impl CheckpointManifest {
                 completed,
                 superseded,
                 parse_errors,
+                parse_warnings: 0,
             }),
         })
-    }
-
-    /// Opens the manifest named by `DAP_RESUME`, when the variable is set.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors opening or reading the named file.
-    pub fn from_env() -> Option<std::io::Result<Self>> {
-        resume_path_from_env().map(|p| Self::open(&p))
     }
 
     /// A manifest backed by memory only (tests, or intra-process reuse).
@@ -191,6 +198,7 @@ impl CheckpointManifest {
                 completed: HashMap::new(),
                 superseded: Vec::new(),
                 parse_errors: 0,
+                parse_warnings: 0,
             }),
         }
     }
@@ -210,9 +218,28 @@ impl CheckpointManifest {
         lock_unpoisoned(&self.inner).parse_errors
     }
 
-    /// The backing file path (`None` for in-memory manifests).
-    pub fn path(&self) -> Option<PathBuf> {
-        lock_unpoisoned(&self.inner).path.clone()
+    /// Warns on stderr that corrupt lines were skipped while loading —
+    /// once per manifest, however many grids resume from it. Skipping is
+    /// the right recovery, but doing it silently hides data loss: those
+    /// cells will re-simulate, and a manifest that keeps accumulating bad
+    /// lines points at a real problem (disk, concurrent writer without
+    /// the lock).
+    pub(crate) fn warn_parse_errors_once(&self) {
+        let mut inner = lock_unpoisoned(&self.inner);
+        if inner.parse_errors == 0 || inner.parse_warnings > 0 {
+            return;
+        }
+        inner.parse_warnings += 1;
+        let path = inner
+            .path
+            .as_ref()
+            .map(|p| p.display().to_string())
+            .unwrap_or_else(|| "<in-memory>".to_string());
+        eprintln!(
+            "warning: checkpoint manifest {path}: skipped {} corrupt line(s) while \
+             loading; the affected cells will be re-simulated",
+            inner.parse_errors
+        );
     }
 
     /// Every completed cell, sorted by key (deterministic iteration for
@@ -612,6 +639,38 @@ mod tests {
             assert_eq!(again.len(), expected_cells + 1, "cut at byte {cut}");
             assert_same(&again.lookup("cell-c").unwrap(), &run);
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every grid resuming from a manifest with corrupt lines reports
+    /// them, but the warning is printed once per manifest, not once per
+    /// grid (Fig. F runs five grids over one `DAP_RESUME` manifest).
+    #[test]
+    fn corrupt_manifest_shared_by_two_grids_warns_once() {
+        use crate::exec::ParallelExecutor;
+        use crate::grid::Grid;
+        use crate::runner::AloneIpcCache;
+        use workloads::{rate_mix, spec};
+
+        let dir = std::env::temp_dir().join(format!("dap-ckpt-warn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("grid.ckpt");
+        std::fs::write(&path, "{\"key\":\"torn\n").unwrap();
+        let manifest = CheckpointManifest::open(&path).unwrap();
+        assert_eq!(manifest.parse_errors(), 1);
+
+        let config = SystemConfig::sectored_dram_cache(2);
+        let mixes = vec![rate_mix(spec("libquantum").unwrap(), 2)];
+        let alone = AloneIpcCache::new();
+        let executor = ParallelExecutor::new(1);
+        for kind in [PolicyKind::Baseline, PolicyKind::Dap] {
+            let grid = Grid::new(&[(&config, kind)], &mixes, 2_000, &alone)
+                .executor(&executor)
+                .checkpoint(&manifest)
+                .run();
+            assert!(grid.is_complete(), "{:?}", grid.errors);
+        }
+        assert_eq!(lock_unpoisoned(&manifest.inner).parse_warnings, 1);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1,23 +1,21 @@
 //! Deterministic, crash-tolerant parallel execution of experiment grids.
 //!
 //! The paper's evaluation is a grid of mix × policy × architecture
-//! simulations, each independent and deterministic. An [`ExperimentPlan`]
-//! collects those simulations as closures; a [`ParallelExecutor`] drains
-//! the plan over a shared work queue on `std::thread::scope`, returning
-//! results **in plan order** regardless of which thread finished which
-//! unit first. Because every unit is deterministic and results are
+//! simulations, each independent and deterministic. Each simulation is a
+//! named [`CellSpec`]; [`ParallelExecutor::run_cells`] drains a list of
+//! them over a shared work queue on `std::thread::scope`, returning
+//! results **in cell order** regardless of which thread finished which
+//! cell first. Because every cell is deterministic and results are
 //! reassembled by index, the parallel output is bit-identical to running
-//! the same plan on one thread (`crates/experiments/tests/determinism.rs`
+//! the same cells on one thread (`crates/experiments/tests/determinism.rs`
 //! proves this).
 //!
-//! Every unit runs under [`catch_unwind`], so one panicking cell cannot
-//! take down its siblings: [`ParallelExecutor::try_run`] returns a
-//! [`CellError`] (panic payload + cell identity) in that cell's slot and
-//! every other result untouched, and [`ParallelExecutor::run_cells`]
-//! additionally retries failed cells a bounded number of times.
-//! Long grids can also checkpoint finished cells and resume after a crash
-//! — see [`run_variant_grid_recovered`] and
-//! [`CheckpointManifest`](crate::checkpoint::CheckpointManifest).
+//! Every attempt runs under [`catch_unwind`], so one panicking cell cannot
+//! take down its siblings: `run_cells` returns a [`CellError`] (panic
+//! payload + cell identity) in that cell's slot, every other result
+//! untouched, and retries failed cells a bounded number of times. The
+//! mix × variant figures build their cells through
+//! [`Grid`](crate::grid::Grid), which adds checkpoint/resume on top.
 //!
 //! Thread count comes from [`set_thread_override`] (the `--threads` CLI
 //! flag) when set, else `DAP_THREADS`, else all available cores.
@@ -36,14 +34,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use mem_sim::{RunInterrupted, ScopedStop, StopCause, SystemConfig};
-use workloads::Mix;
+use mem_sim::{RunInterrupted, ScopedStop, StopCause};
 
 use crate::cancel::{global_cancel_token, CancelToken};
-use crate::checkpoint::{cell_key, CheckpointManifest};
-use crate::runner::{run_workload, AloneIpcCache, PolicyKind, WorkloadRun};
-
-type Task<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
 /// Locks `mutex`, recovering the guard if another thread panicked while
 /// holding it. Every value the executor guards stays consistent across a
@@ -138,7 +131,7 @@ impl std::error::Error for CellError {}
 
 /// Distinguishes a cooperative interruption (the run loop's typed
 /// [`RunInterrupted`] payload) from a genuine panic.
-pub(crate) fn classify(payload: &(dyn std::any::Any + Send)) -> CellErrorKind {
+fn classify(payload: &(dyn std::any::Any + Send)) -> CellErrorKind {
     match payload.downcast_ref::<RunInterrupted>() {
         Some(interrupted) => match interrupted.cause {
             StopCause::Cancelled => CellErrorKind::Cancelled,
@@ -148,7 +141,7 @@ pub(crate) fn classify(payload: &(dyn std::any::Any + Send)) -> CellErrorKind {
     }
 }
 
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -160,9 +153,9 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Label of a cell the next matching [`run_cells`] /
-/// [`run_variant_grid_recovered`] execution should panic in (fault
-/// drills; consumed by the first attempt of the first matching cell).
+/// Label of a cell the next matching [`run_cells`] execution should
+/// panic in (fault drills; consumed by the first attempt of the first
+/// matching cell).
 ///
 /// [`run_cells`]: ParallelExecutor::run_cells
 static PANIC_INJECTION: Mutex<Option<String>> = Mutex::new(None);
@@ -188,6 +181,24 @@ fn fire_injected_panic(label: &str) {
         drop(armed);
         panic!("injected panic in cell {label}");
     }
+}
+
+/// One attempt at a cell: arms `stop_flags` on this thread, runs `run`
+/// under [`catch_unwind`] (firing any [`inject_cell_panic`] armed for
+/// `label` first), and classifies a failure into its [`CellErrorKind`]
+/// and message. [`ParallelExecutor::run_cells`] and the shard explorer's
+/// worker both execute cells through this one function.
+pub(crate) fn attempt<T>(
+    label: &str,
+    stop_flags: &[(Arc<AtomicBool>, StopCause)],
+    run: impl FnOnce() -> T,
+) -> Result<T, (CellErrorKind, String)> {
+    let _armed = ScopedStop::install(stop_flags);
+    catch_unwind(AssertUnwindSafe(|| {
+        fire_injected_panic(label);
+        run()
+    }))
+    .map_err(|payload| (classify(payload.as_ref()), panic_message(payload)))
 }
 
 /// A named, re-runnable grid cell for [`ParallelExecutor::run_cells`].
@@ -217,35 +228,6 @@ impl<'a, T> CellSpec<'a, T> {
     /// The cell's label.
     pub fn label(&self) -> &str {
         &self.label
-    }
-}
-
-/// An ordered list of independent simulation units.
-#[derive(Default)]
-pub struct ExperimentPlan<'a, T> {
-    tasks: Vec<Task<'a, T>>,
-}
-
-impl<'a, T: Send> ExperimentPlan<'a, T> {
-    /// An empty plan.
-    pub fn new() -> Self {
-        Self { tasks: Vec::new() }
-    }
-
-    /// Appends a unit and returns its index in the result vector.
-    pub fn add(&mut self, task: impl FnOnce() -> T + Send + 'a) -> usize {
-        self.tasks.push(Box::new(task));
-        self.tasks.len() - 1
-    }
-
-    /// Number of units in the plan.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether the plan has no units.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
     }
 }
 
@@ -410,7 +392,7 @@ fn deadline_from_env() -> Option<Duration> {
     }
 }
 
-/// Runs an [`ExperimentPlan`] across a fixed number of worker threads.
+/// Runs [`CellSpec`] lists across a fixed number of worker threads.
 #[derive(Debug, Clone)]
 pub struct ParallelExecutor {
     threads: usize,
@@ -478,61 +460,6 @@ impl ParallelExecutor {
         self.threads
     }
 
-    /// Runs every unit and returns the results in plan order.
-    ///
-    /// Workers claim units from a shared atomic cursor (dynamic load
-    /// balancing: units vary widely in cost). A panicking unit does not
-    /// abort the grid — every other unit still runs and this method
-    /// panics with the first [`CellError`] only after the grid drains
-    /// (use [`Self::try_run`] to receive the errors instead).
-    pub fn run<'a, T: Send>(&self, plan: ExperimentPlan<'a, T>) -> Vec<T> {
-        self.try_run(plan)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-            .collect()
-    }
-
-    /// Runs every unit, isolating panics: each cell's slot holds either
-    /// its result or the [`CellError`] describing its panic. Sibling
-    /// cells and shared state (the alone-IPC cache) are unaffected by a
-    /// crashing cell.
-    pub fn try_run<'a, T: Send>(&self, plan: ExperimentPlan<'a, T>) -> Vec<Result<T, CellError>> {
-        let queue: Vec<Mutex<Option<Task<'a, T>>>> = plan
-            .tasks
-            .into_iter()
-            .map(|task| Mutex::new(Some(task)))
-            .collect();
-        let cancel = self.cancel.as_ref();
-        run_indexed(self.threads, queue.len(), |i| {
-            if let Some(token) = cancel {
-                if token.is_cancelled() {
-                    return Err(CellError::cancelled_before_start(
-                        i,
-                        format!("unit {i}"),
-                        None,
-                    ));
-                }
-            }
-            let task = lock_unpoisoned(&queue[i])
-                .take()
-                // invariant: run_indexed dispatches each index once, so
-                // no other worker can have taken this task.
-                .expect("unit claimed once");
-            let stop_flags: Vec<_> = cancel
-                .map(|token| vec![(token.flag(), StopCause::Cancelled)])
-                .unwrap_or_default();
-            let _armed = ScopedStop::install(&stop_flags);
-            catch_unwind(AssertUnwindSafe(task)).map_err(|payload| CellError {
-                index: i,
-                label: format!("unit {i}"),
-                fingerprint: None,
-                kind: classify(payload.as_ref()),
-                message: panic_message(payload),
-                attempts: 1,
-            })
-        })
-    }
-
     /// Runs named, re-runnable cells with bounded retry: a cell that
     /// panics or exceeds its deadline is re-attempted up to `retries`
     /// more times (transient faults — e.g. an injected fault drill or a
@@ -574,12 +501,7 @@ impl ParallelExecutor {
                 if let Some(dog) = watchdog {
                     stop_flags.push((dog.arm(i), StopCause::DeadlineExceeded));
                 }
-                let armed = ScopedStop::install(&stop_flags);
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    fire_injected_panic(&cell.label);
-                    (cell.run)()
-                }));
-                drop(armed);
+                let outcome = attempt(&cell.label, &stop_flags, || (cell.run)());
                 if let Some(dog) = watchdog {
                     dog.disarm(i);
                 }
@@ -590,9 +512,9 @@ impl ParallelExecutor {
                         }
                         return Ok(value);
                     }
-                    Err(payload) => {
-                        kind = classify(payload.as_ref());
-                        message = panic_message(payload);
+                    Err((failure, why)) => {
+                        kind = failure;
+                        message = why;
                         if kind == CellErrorKind::Cancelled {
                             break;
                         }
@@ -611,289 +533,57 @@ impl ParallelExecutor {
     }
 }
 
-/// Runs `variants.len()` workload units per mix in parallel and returns,
-/// per mix, the runs in variant order — the shape almost every figure
-/// needs (N policy/architecture variants over a list of mixes).
-pub fn run_variant_grid(
-    variants: &[(&SystemConfig, PolicyKind)],
-    mixes: &[Mix],
-    instructions: u64,
-    alone: &AloneIpcCache,
-) -> Vec<Vec<WorkloadRun>> {
-    let _progress = crate::progress::grid_started(mixes.len() * variants.len());
-    let mut plan = ExperimentPlan::new();
-    for mix in mixes {
-        for &(config, kind) in variants {
-            plan.add(move || {
-                let run = run_workload(config, kind, mix, instructions, alone);
-                crate::progress::cell_finished(crate::progress::windows_of(&run));
-                run
-            });
-        }
-    }
-    let mut runs = ParallelExecutor::from_env().run(plan).into_iter();
-    mixes
-        .iter()
-        // invariant: run() returns exactly one result per added task, and
-        // the plan added mixes.len() * variants.len() tasks above.
-        .map(|_| (0..variants.len()).map(|_| runs.next().unwrap()).collect())
-        .collect()
-}
-
-/// The outcome of a crash-tolerant grid: per-mix rows of per-variant
-/// cells (`None` where the cell kept panicking), the errors themselves,
-/// and how many cells were answered from the checkpoint without
-/// simulating.
-#[derive(Debug)]
-pub struct RecoveredGrid {
-    /// `runs[mix][variant]`; `None` exactly where `errors` has an entry.
-    pub runs: Vec<Vec<Option<WorkloadRun>>>,
-    /// Every cell that panicked through all its attempts, in cell order.
-    pub errors: Vec<CellError>,
-    /// Cells restored from the checkpoint manifest instead of simulated.
-    pub resumed: usize,
-}
-
-impl RecoveredGrid {
-    /// Whether every cell produced a result.
-    pub fn is_complete(&self) -> bool {
-        self.errors.is_empty()
-    }
-
-    /// Whether the grid was stopped by cancellation (at least one cell
-    /// was cancelled rather than failing on its own).
-    pub fn cancelled(&self) -> bool {
-        self.errors
-            .iter()
-            .any(|e| e.kind == CellErrorKind::Cancelled)
-    }
-
-    /// Converts the grid into the complete per-mix rows, or the
-    /// [`ExecError`] describing why it is incomplete (cancellation wins
-    /// over cell failures: an interrupted grid should be resumed, not
-    /// diagnosed).
-    pub fn into_result(self) -> Result<Vec<Vec<WorkloadRun>>, ExecError> {
-        if self.cancelled() {
-            let total: usize = self.runs.iter().map(Vec::len).sum();
-            return Err(ExecError::Cancelled {
-                completed: total - self.errors.len(),
-                total,
-            });
-        }
-        if !self.errors.is_empty() {
-            return Err(ExecError::Failed(self.errors));
-        }
-        Ok(self
-            .runs
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    // invariant: no errors means every slot holds a run.
-                    .map(|cell| cell.expect("complete grid has every cell"))
-                    .collect()
-            })
-            .collect())
-    }
-}
-
-/// Why a crash-tolerant grid did not complete.
-#[derive(Debug)]
-pub enum ExecError {
-    /// The grid's cancel token tripped mid-run. Finished cells are in
-    /// the checkpoint manifest (when one was given); re-running with
-    /// `DAP_RESUME` completes the grid bit-identically.
-    Cancelled {
-        /// Cells that finished (including checkpoint-resumed ones).
-        completed: usize,
-        /// Total cells in the grid.
-        total: usize,
-    },
-    /// One or more cells failed through all their permitted attempts.
-    Failed(Vec<CellError>),
-}
-
-impl fmt::Display for ExecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Cancelled { completed, total } => {
-                write!(
-                    f,
-                    "grid cancelled after {completed}/{total} cells completed"
-                )
-            }
-            Self::Failed(errors) => {
-                write!(f, "{} cell(s) failed", errors.len())?;
-                if let Some(first) = errors.first() {
-                    write!(f, "; first: {first}")?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl std::error::Error for ExecError {}
-
-/// The crash-tolerant sibling of [`run_variant_grid`]: every cell runs
-/// under `catch_unwind` with `retries` extra attempts, finished cells are
-/// recorded into `checkpoint` (when given) so an interrupted grid resumes
-/// instead of recomputing — keyed by
-/// [`cell_key`](crate::checkpoint::cell_key), which covers the full
-/// system configuration (fault schedule included), policy, mix, and
-/// instruction budget — and cells that keep panicking surface as
-/// [`CellError`]s instead of aborting the grid.
-pub fn run_variant_grid_recovered(
-    variants: &[(&SystemConfig, PolicyKind)],
-    mixes: &[Mix],
-    instructions: u64,
-    alone: &AloneIpcCache,
-    checkpoint: Option<&CheckpointManifest>,
-    retries: u32,
-) -> RecoveredGrid {
-    run_variant_grid_recovered_with(
-        variants,
-        mixes,
-        instructions,
-        alone,
-        checkpoint,
-        retries,
-        &ParallelExecutor::from_env(),
-    )
-}
-
-/// [`run_variant_grid_recovered`] with an explicit executor, so callers
-/// (and the cancellation tests) control the thread count, cancel token,
-/// and per-cell deadline instead of inheriting the environment's.
-#[allow(clippy::too_many_arguments)]
-pub fn run_variant_grid_recovered_with(
-    variants: &[(&SystemConfig, PolicyKind)],
-    mixes: &[Mix],
-    instructions: u64,
-    alone: &AloneIpcCache,
-    checkpoint: Option<&CheckpointManifest>,
-    retries: u32,
-    executor: &ParallelExecutor,
-) -> RecoveredGrid {
-    let total = mixes.len() * variants.len();
-    if let Some(manifest) = checkpoint {
-        let parse_errors = manifest.parse_errors();
-        if parse_errors > 0 {
-            // Skipping corrupt lines is the right recovery, but doing it
-            // silently hides data loss: those cells will re-simulate, and
-            // a manifest that keeps accumulating bad lines points at a
-            // real problem (disk, concurrent writer without the lock).
-            let path = manifest
-                .path()
-                .map(|p| p.display().to_string())
-                .unwrap_or_else(|| "<in-memory>".to_string());
-            eprintln!(
-                "warning: checkpoint manifest {path}: skipped {parse_errors} \
-                 corrupt line(s) while loading; the affected cells will be re-simulated"
-            );
-        }
-    }
-    let mut slots: Vec<Option<Result<WorkloadRun, CellError>>> = (0..total).map(|_| None).collect();
-    let mut resumed = 0;
-    let mut cells = Vec::new();
-    let mut cell_slot = Vec::new();
-    for (m, mix) in mixes.iter().enumerate() {
-        for (v, &(config, kind)) in variants.iter().enumerate() {
-            let slot = m * variants.len() + v;
-            let key = cell_key(config, kind, mix, instructions);
-            if let Some(manifest) = checkpoint {
-                if let Some(run) = manifest.lookup(&key) {
-                    slots[slot] = Some(Ok(run));
-                    resumed += 1;
-                    continue;
-                }
-            }
-            let record_key = key.clone();
-            cells.push(
-                CellSpec::new(format!("{}/{kind:?}", mix.name), move || {
-                    let run = run_workload(config, kind, mix, instructions, alone);
-                    if let Some(manifest) = checkpoint {
-                        manifest.record(&record_key, &run);
-                    }
-                    crate::progress::cell_finished(crate::progress::windows_of(&run));
-                    run
-                })
-                .with_fingerprint(key),
-            );
-            cell_slot.push(slot);
-        }
-    }
-    let _progress = crate::progress::grid_started(cells.len());
-    let results = executor.run_cells(cells, retries);
-    for (slot, result) in cell_slot.into_iter().zip(results) {
-        slots[slot] = Some(result);
-    }
-    let mut errors = Vec::new();
-    let mut runs = Vec::with_capacity(mixes.len());
-    let mut it = slots.into_iter();
-    for _ in mixes {
-        let mut row = Vec::with_capacity(variants.len());
-        for _ in variants {
-            // invariant: the loop above placed a result (resumed, run, or
-            // error) into each of the mixes × variants slots.
-            match it.next().unwrap().expect("every slot filled") {
-                Ok(run) => row.push(Some(run)),
-                Err(e) => {
-                    errors.push(e);
-                    row.push(None);
-                }
-            }
-        }
-        runs.push(row);
-    }
-    RecoveredGrid {
-        runs,
-        errors,
-        resumed,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn results_come_back_in_plan_order() {
-        let mut plan = ExperimentPlan::new();
-        for i in 0..64u64 {
-            // Uneven unit costs so threads finish out of submission order.
-            plan.add(move || {
-                let mut acc = i;
-                for _ in 0..(i % 7) * 10_000 {
-                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-                }
-                std::hint::black_box(acc);
-                i
-            });
-        }
-        let out = ParallelExecutor::new(4).run(plan);
+    fn results_come_back_in_cell_order() {
+        let cells = (0..64u64)
+            .map(|i| {
+                // Uneven cell costs so threads finish out of submission order.
+                CellSpec::new(format!("cell{i}"), move || {
+                    let mut acc = i;
+                    for _ in 0..(i % 7) * 10_000 {
+                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    }
+                    std::hint::black_box(acc);
+                    i
+                })
+            })
+            .collect();
+        let out: Vec<u64> = ParallelExecutor::new(4)
+            .run_cells(cells, 0)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
         assert_eq!(out, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
-    fn every_unit_runs_exactly_once() {
+    fn every_cell_runs_exactly_once() {
         let counter = AtomicUsize::new(0);
-        let mut plan = ExperimentPlan::new();
-        for _ in 0..37 {
-            plan.add(|| counter.fetch_add(1, Ordering::Relaxed));
-        }
-        let out = ParallelExecutor::new(8).run(plan);
+        let cells = (0..37)
+            .map(|i| {
+                CellSpec::new(format!("cell{i}"), || {
+                    counter.fetch_add(1, Ordering::Relaxed)
+                })
+            })
+            .collect();
+        let out = ParallelExecutor::new(8).run_cells(cells, 0);
         assert_eq!(out.len(), 37);
         assert_eq!(counter.load(Ordering::Relaxed), 37);
     }
 
     #[test]
     fn single_thread_runs_inline() {
-        let mut plan = ExperimentPlan::new();
-        assert!(plan.is_empty());
-        plan.add(|| 41);
-        plan.add(|| 42);
-        assert_eq!(plan.len(), 2);
-        assert_eq!(ParallelExecutor::new(1).run(plan), vec![41, 42]);
+        let cells = vec![CellSpec::new("a", || 41), CellSpec::new("b", || 42)];
+        let out: Vec<i32> = ParallelExecutor::new(1)
+            .run_cells(cells, 0)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(out, vec![41, 42]);
     }
 
     #[test]
@@ -911,23 +601,25 @@ mod tests {
     }
 
     #[test]
-    fn panicking_unit_does_not_poison_siblings() {
+    fn panicking_cell_does_not_poison_siblings() {
         for threads in [1, 4] {
-            let mut plan = ExperimentPlan::new();
-            for i in 0..16u64 {
-                plan.add(move || {
-                    assert_ne!(i, 5, "unit 5 always crashes");
-                    i * 10
-                });
-            }
-            let out = ParallelExecutor::new(threads).try_run(plan);
+            let cells = (0..16u64)
+                .map(|i| {
+                    CellSpec::new(format!("cell{i}"), move || {
+                        assert_ne!(i, 5, "cell 5 always crashes");
+                        i * 10
+                    })
+                })
+                .collect();
+            let out = ParallelExecutor::new(threads).run_cells(cells, 0);
             assert_eq!(out.len(), 16);
             for (i, r) in out.iter().enumerate() {
                 if i == 5 {
                     let e = r.as_ref().unwrap_err();
                     assert_eq!(e.index, 5);
                     assert_eq!(e.attempts, 1);
-                    assert!(e.message.contains("unit 5 always crashes"), "{e}");
+                    assert_eq!(e.kind, CellErrorKind::Panicked);
+                    assert!(e.message.contains("cell 5 always crashes"), "{e}");
                 } else {
                     assert_eq!(*r.as_ref().unwrap(), i as u64 * 10, "threads={threads}");
                 }
@@ -936,25 +628,24 @@ mod tests {
     }
 
     #[test]
-    fn run_panics_with_cell_error_after_draining() {
+    fn failed_cell_is_reported_after_siblings_drain() {
         let completed = AtomicUsize::new(0);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut plan = ExperimentPlan::new();
-            plan.add(|| {
+        let cells = vec![
+            CellSpec::new("first", || {
                 completed.fetch_add(1, Ordering::Relaxed);
-            });
-            plan.add(|| panic!("boom"));
-            plan.add(|| {
+            }),
+            CellSpec::new("boom", || panic!("boom")),
+            CellSpec::new("last", || {
                 completed.fetch_add(1, Ordering::Relaxed);
-            });
-            ParallelExecutor::new(2).run(plan)
-        }));
-        let message = panic_message(outcome.unwrap_err());
-        assert!(message.contains("boom"), "{message}");
+            }),
+        ];
+        let out = ParallelExecutor::new(2).run_cells(cells, 0);
+        let e = out[1].as_ref().unwrap_err();
+        assert!(e.message.contains("boom"), "{e}");
         assert_eq!(
             completed.load(Ordering::Relaxed),
             2,
-            "healthy units finish before the error propagates"
+            "healthy cells finish despite the failure"
         );
     }
 

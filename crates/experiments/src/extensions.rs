@@ -10,8 +10,8 @@
 use mem_sim::mscache::PlacementGoal;
 use mem_sim::SystemConfig;
 
-use crate::exec::run_variant_grid;
 use crate::figures::sensitive_mixes;
+use crate::grid::Grid;
 use crate::metrics::{FigureResult, Row};
 use crate::runner::{AloneIpcCache, PolicyKind};
 
@@ -24,7 +24,7 @@ pub fn os_visible_tiering(instructions: u64) -> FigureResult {
     let cache_mode = SystemConfig::sectored_dram_cache(8);
     let alone = AloneIpcCache::new();
     let mixes = sensitive_mixes(8);
-    let grid = run_variant_grid(
+    let grid = Grid::new(
         &[
             (&hits, PolicyKind::Baseline),
             (&balanced, PolicyKind::Baseline),
@@ -34,7 +34,10 @@ pub fn os_visible_tiering(instructions: u64) -> FigureResult {
         &mixes,
         instructions,
         &alone,
-    );
+    )
+    .run()
+    .into_result()
+    .expect("grid incomplete");
     let rows = mixes
         .iter()
         .zip(&grid)

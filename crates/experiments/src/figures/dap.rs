@@ -2,11 +2,12 @@
 
 use mem_sim::{RunResult, SystemConfig};
 
-use crate::exec::{run_variant_grid, ExperimentPlan, ParallelExecutor};
+use crate::exec::CellSpec;
+use crate::grid::Grid;
 use crate::metrics::{geomean, FigureResult, Row};
 use crate::runner::{build_policy_with, run_mix, AloneIpcCache, PolicyKind};
 
-use super::sensitive_mixes;
+use super::{run_all, sensitive_mixes};
 
 /// Fig. 6: DAP's weighted speedup over the optimized baseline (top panel)
 /// and its normalized average L3 read-miss latency (bottom panel).
@@ -14,12 +15,15 @@ pub fn fig06_dap_sectored(instructions: u64) -> FigureResult {
     let config = SystemConfig::sectored_dram_cache(8);
     let alone = AloneIpcCache::new();
     let mixes = sensitive_mixes(8);
-    let grid = run_variant_grid(
+    let grid = Grid::new(
         &[(&config, PolicyKind::Baseline), (&config, PolicyKind::Dap)],
         &mixes,
         instructions,
         &alone,
-    );
+    )
+    .run()
+    .into_result()
+    .expect("grid incomplete");
     let rows = mixes
         .iter()
         .zip(&grid)
@@ -48,21 +52,23 @@ pub fn fig06_dap_sectored(instructions: u64) -> FigureResult {
 
 /// Fig. 7: the share of DAP decisions contributed by each technique.
 pub fn fig07_decision_mix(instructions: u64) -> FigureResult {
-    let config = SystemConfig::sectored_dram_cache(8);
+    let config = &SystemConfig::sectored_dram_cache(8);
     let mixes = sensitive_mixes(8);
-    let mut plan = ExperimentPlan::new();
-    {
-        let config = &config;
-        for mix in &mixes {
-            plan.add(move || run_mix(config, PolicyKind::Dap, mix, instructions));
-        }
-    }
-    let results = ParallelExecutor::from_env().run(plan);
+    let results = run_all(
+        mixes
+            .iter()
+            .map(|mix| {
+                CellSpec::new(format!("{}/Dap", mix.name), move || {
+                    run_mix(config, PolicyKind::Dap, mix, instructions)
+                })
+            })
+            .collect(),
+    );
     let mut rows = Vec::new();
     let mut totals = [0.0f64; 4];
     let mut counted = 0usize;
     for (mix, r) in mixes.iter().zip(results) {
-        // invariant: every plan cell above runs PolicyKind::Dap, which
+        // invariant: every cell above runs PolicyKind::Dap, which
         // always reports decision statistics.
         let d = r.dap_decisions.expect("DAP ran");
         let mix_shares = d.mix();
@@ -91,7 +97,7 @@ pub fn fig08_cas_fraction(instructions: u64) -> FigureResult {
     let config = SystemConfig::sectored_dram_cache(8);
     let alone = AloneIpcCache::new();
     let mixes = sensitive_mixes(8);
-    let grid = run_variant_grid(
+    let grid = Grid::new(
         &[
             (&config, PolicyKind::Baseline),
             (&config, PolicyKind::DapFwbWbOnly),
@@ -100,7 +106,10 @@ pub fn fig08_cas_fraction(instructions: u64) -> FigureResult {
         &mixes,
         instructions,
         &alone,
-    );
+    )
+    .run()
+    .into_result()
+    .expect("grid incomplete");
     let rows = mixes
         .iter()
         .zip(&grid)
@@ -147,29 +156,28 @@ fn unit_ws(result: &RunResult) -> f64 {
 /// `E in {0.5, 0.75, 1.0}` (at `W = 64`).
 pub fn table1_w_e_sensitivity(instructions: u64) -> FigureResult {
     const PARAMS: [(u32, f64); 5] = [(32, 0.75), (64, 0.75), (128, 0.75), (64, 0.50), (64, 1.00)];
-    let config = SystemConfig::sectored_dram_cache(8);
+    let config = &SystemConfig::sectored_dram_cache(8);
     let mixes = sensitive_mixes(8);
-    let mut plan = ExperimentPlan::new();
-    {
-        let config = &config;
+    let mut cells = Vec::new();
+    for mix in &mixes {
+        cells.push(CellSpec::new(format!("{}/Baseline", mix.name), move || {
+            unit_ws(&run_mix(config, PolicyKind::Baseline, mix, instructions))
+        }));
+    }
+    for &(window, efficiency) in &PARAMS {
         for mix in &mixes {
-            plan.add(move || unit_ws(&run_mix(config, PolicyKind::Baseline, mix, instructions)));
-        }
-        for &(window, efficiency) in &PARAMS {
-            for mix in &mixes {
-                plan.add(move || {
-                    // invariant: the sectored DRAM-cache config always
-                    // carries the bandwidth fields DAP solves against.
-                    let policy = build_policy_with(PolicyKind::Dap, config, window, efficiency)
-                        .expect("the sectored cache supports DAP");
-                    let mut system =
-                        mem_sim::System::with_policy(config.clone(), mix.traces(), policy);
-                    unit_ws(&system.run(instructions))
-                });
-            }
+            let label = format!("{}/Dap W={window} E={efficiency:.2}", mix.name);
+            cells.push(CellSpec::new(label, move || {
+                // invariant: the sectored DRAM-cache config always
+                // carries the bandwidth fields DAP solves against.
+                let policy = build_policy_with(PolicyKind::Dap, config, window, efficiency)
+                    .expect("the sectored cache supports DAP");
+                let mut system = mem_sim::System::with_policy(config.clone(), mix.traces(), policy);
+                unit_ws(&system.run(instructions))
+            }));
         }
     }
-    let ws = ParallelExecutor::from_env().run(plan);
+    let ws = run_all(cells);
     let (base, sweeps) = ws.split_at(mixes.len());
     let rows = PARAMS
         .iter()

@@ -3,8 +3,8 @@
 
 use mem_sim::{FaultSchedule, FaultTarget, SystemConfig, BLOCK_BYTES};
 
-use crate::checkpoint::CheckpointManifest;
-use crate::exec::run_variant_grid_recovered;
+use crate::exec::CellErrorKind;
+use crate::grid::Grid;
 use crate::metrics::{FigureResult, Row};
 use crate::runner::{AloneIpcCache, PolicyKind, WorkloadRun};
 
@@ -58,16 +58,9 @@ fn scenarios(start: u64) -> Vec<(&'static str, Option<FaultSchedule>)> {
 /// the bandwidth-sensitive mixes) for no partitioning, static-Eq.4 DAP,
 /// and measured-bandwidth DAP, per fault scenario — plus the ratio of
 /// measured over static DAP and the number of measured-bandwidth budget
-/// re-solves. Honors `DAP_RESUME` for checkpoint/resume.
+/// re-solves. Unlike the other figures, a failed cell only drops its mix
+/// from the scenario's mean (with a warning) instead of aborting.
 pub fn fig_fault_degradation(instructions: u64) -> FigureResult {
-    let manifest = match CheckpointManifest::from_env() {
-        Some(Ok(m)) => Some(m),
-        Some(Err(e)) => {
-            eprintln!("warning: ignoring unreadable DAP_RESUME manifest: {e}");
-            None
-        }
-        None => None,
-    };
     let alone = AloneIpcCache::new();
     let mixes = sensitive_mixes(8);
     let cpu_ghz = SystemConfig::sectored_dram_cache(8).cpu_ghz();
@@ -77,7 +70,7 @@ pub fn fig_fault_degradation(instructions: u64) -> FigureResult {
         if let Some(schedule) = schedule {
             config = config.with_faults(schedule);
         }
-        let grid = run_variant_grid_recovered(
+        let grid = Grid::new(
             &[
                 (&config, PolicyKind::Baseline),
                 (&config, PolicyKind::Dap),
@@ -86,14 +79,13 @@ pub fn fig_fault_degradation(instructions: u64) -> FigureResult {
             &mixes,
             instructions,
             &alone,
-            manifest.as_ref(),
-            0,
-        );
+        )
+        .run();
         let cancelled = grid.cancelled();
         for error in &grid.errors {
             // A cancelled grid is expected to be incomplete; only genuine
             // failures deserve per-cell warnings.
-            if error.kind != crate::exec::CellErrorKind::Cancelled {
+            if error.kind != CellErrorKind::Cancelled {
                 eprintln!("warning: {error}");
             }
         }

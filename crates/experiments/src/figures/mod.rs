@@ -35,10 +35,24 @@ pub use sweeps::{fig09_mm_technology, fig10_capacity_bandwidth, fig13_sixteen_co
 
 use workloads::{bandwidth_sensitive, rate_mix, Mix};
 
+use crate::exec::{CellSpec, ParallelExecutor};
+
 /// The twelve bandwidth-sensitive rate-`cores` mixes.
 pub(crate) fn sensitive_mixes(cores: usize) -> Vec<Mix> {
     bandwidth_sensitive()
         .into_iter()
         .map(|s| rate_mix(s, cores))
+        .collect()
+}
+
+/// Runs cells that are not mix × variant [`WorkloadRun`](crate::WorkloadRun)s
+/// (Fig. 1, Fig. 7, Table I) on [`ParallelExecutor::from_env`] and returns
+/// their results in cell order, panicking with the first failure only
+/// after every cell has drained.
+fn run_all<T: Send>(cells: Vec<CellSpec<'_, T>>) -> Vec<T> {
+    ParallelExecutor::from_env()
+        .run_cells(cells, 0)
+        .into_iter()
+        .map(|result| result.unwrap_or_else(|e| panic!("{e}")))
         .collect()
 }

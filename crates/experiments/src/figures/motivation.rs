@@ -4,11 +4,12 @@ use dap_core::{read_kernel_bandwidth, BandwidthSource};
 use mem_sim::{CacheKind, System, SystemConfig};
 use workloads::{all_specs, rate_mix, Mix, ReadKernel};
 
-use crate::exec::{run_variant_grid, ExperimentPlan, ParallelExecutor};
+use crate::exec::CellSpec;
+use crate::grid::Grid;
 use crate::metrics::{FigureResult, Row};
 use crate::runner::{AloneIpcCache, PolicyKind};
 
-use super::sensitive_mixes;
+use super::{run_all, sensitive_mixes};
 
 /// Simulates the gap-0 read kernel at a target hit rate and reports the
 /// delivered bandwidth in GB/s.
@@ -44,30 +45,36 @@ pub fn fig01_bw_vs_hitrate(instructions: u64) -> FigureResult {
     let ddr = BandwidthSource::from_gbps("DDR4", 38.4);
     let gbps = |acc_per_s: f64| acc_per_s * 64.0 / 1e9;
 
-    let mut plan = ExperimentPlan::new();
+    let mut cells = Vec::new();
     for &hit in &HITS {
         // Warm regions sized so eight copies fit their cache with headroom
         // (the paper's kernel assumes the warm set is always resident) while
         // still exceeding each core's shared-L3 slice. The eDRAM kernel uses
         // a larger-capacity part: Fig. 1 studies bandwidth, not capacity.
-        plan.add(move || {
-            read_kernel_gbps(
-                SystemConfig::sectored_dram_cache(8),
-                3 << 20,
-                hit,
-                instructions,
-            )
-        });
-        plan.add(move || {
-            read_kernel_gbps(
-                SystemConfig::edram_cache(8, 2048),
-                1 << 20,
-                hit,
-                instructions,
-            )
-        });
+        cells.push(CellSpec::new(
+            format!("read-kernel {hit}/sectored"),
+            move || {
+                read_kernel_gbps(
+                    SystemConfig::sectored_dram_cache(8),
+                    3 << 20,
+                    hit,
+                    instructions,
+                )
+            },
+        ));
+        cells.push(CellSpec::new(
+            format!("read-kernel {hit}/edram"),
+            move || {
+                read_kernel_gbps(
+                    SystemConfig::edram_cache(8, 2048),
+                    1 << 20,
+                    hit,
+                    instructions,
+                )
+            },
+        ));
     }
-    let sims = ParallelExecutor::from_env().run(plan);
+    let sims = run_all(cells);
 
     let rows = HITS
         .iter()
@@ -103,7 +110,7 @@ pub fn fig02_edram_capacity(instructions: u64) -> FigureResult {
     let large = SystemConfig::edram_cache(8, 512);
     let alone = AloneIpcCache::new();
     let mixes = sensitive_mixes(8);
-    let grid = run_variant_grid(
+    let grid = Grid::new(
         &[
             (&small, PolicyKind::Baseline),
             (&large, PolicyKind::Baseline),
@@ -111,7 +118,10 @@ pub fn fig02_edram_capacity(instructions: u64) -> FigureResult {
         &mixes,
         instructions,
         &alone,
-    );
+    )
+    .run()
+    .into_result()
+    .expect("grid incomplete");
     let rows = mixes
         .iter()
         .zip(&grid)
@@ -146,7 +156,7 @@ pub fn fig04_bw_sensitivity(instructions: u64) -> FigureResult {
     let mut specs: Vec<_> = all_specs().iter().collect();
     specs.sort_by_key(|s| s.sensitivity == workloads::Sensitivity::BandwidthInsensitive);
     let mixes: Vec<Mix> = specs.iter().map(|&s| rate_mix(s, 8)).collect();
-    let grid = run_variant_grid(
+    let grid = Grid::new(
         &[
             (&base, PolicyKind::Baseline),
             (&doubled, PolicyKind::Baseline),
@@ -154,7 +164,10 @@ pub fn fig04_bw_sensitivity(instructions: u64) -> FigureResult {
         &mixes,
         instructions,
         &alone,
-    );
+    )
+    .run()
+    .into_result()
+    .expect("grid incomplete");
     let rows = specs
         .iter()
         .zip(&grid)
@@ -186,7 +199,7 @@ pub fn fig05_tag_cache(instructions: u64) -> FigureResult {
     }
     let alone = AloneIpcCache::new();
     let mixes = sensitive_mixes(8);
-    let grid = run_variant_grid(
+    let grid = Grid::new(
         &[
             (&without_tc, PolicyKind::Baseline),
             (&with_tc, PolicyKind::Baseline),
@@ -194,7 +207,10 @@ pub fn fig05_tag_cache(instructions: u64) -> FigureResult {
         &mixes,
         instructions,
         &alone,
-    );
+    )
+    .run()
+    .into_result()
+    .expect("grid incomplete");
     let rows = mixes
         .iter()
         .zip(&grid)

@@ -5,7 +5,7 @@
 use mem_sim::{CacheKind, SystemConfig};
 use workloads::all_44_workloads;
 
-use crate::exec::run_variant_grid;
+use crate::grid::Grid;
 use crate::metrics::{FigureResult, Row};
 use crate::runner::{AloneIpcCache, PolicyKind};
 
@@ -17,7 +17,7 @@ pub fn fig11_related_proposals(instructions: u64) -> FigureResult {
     let config = SystemConfig::sectored_dram_cache(8);
     let alone = AloneIpcCache::new();
     let mixes = sensitive_mixes(8);
-    let grid = run_variant_grid(
+    let grid = Grid::new(
         &[
             (&config, PolicyKind::Baseline),
             (&config, PolicyKind::Sbd),
@@ -28,7 +28,10 @@ pub fn fig11_related_proposals(instructions: u64) -> FigureResult {
         &mixes,
         instructions,
         &alone,
-    );
+    )
+    .run()
+    .into_result()
+    .expect("grid incomplete");
     let rows = mixes
         .iter()
         .zip(&grid)
@@ -60,12 +63,15 @@ pub fn fig12_all_workloads(instructions: u64) -> FigureResult {
     let config = SystemConfig::sectored_dram_cache(8);
     let alone = AloneIpcCache::new();
     let mixes = all_44_workloads(8);
-    let grid = run_variant_grid(
+    let grid = Grid::new(
         &[(&config, PolicyKind::Baseline), (&config, PolicyKind::Dap)],
         &mixes,
         instructions,
         &alone,
-    );
+    )
+    .run()
+    .into_result()
+    .expect("grid incomplete");
     let rows = mixes
         .iter()
         .zip(&grid)
@@ -101,7 +107,7 @@ pub fn fig14_alloy(instructions: u64) -> FigureResult {
     let alone = AloneIpcCache::new();
     let mixes = sensitive_mixes(8);
     // DAP's Alloy design builds on the BEAR presence bits + DBC.
-    let grid = run_variant_grid(
+    let grid = Grid::new(
         &[
             (&alloy, PolicyKind::Baseline),
             (&alloy_bear, PolicyKind::Baseline),
@@ -110,7 +116,10 @@ pub fn fig14_alloy(instructions: u64) -> FigureResult {
         &mixes,
         instructions,
         &alone,
-    );
+    )
+    .run()
+    .into_result()
+    .expect("grid incomplete");
     let rows = mixes
         .iter()
         .zip(&grid)
@@ -154,7 +163,7 @@ pub fn fig15_edram(instructions: u64) -> FigureResult {
     let large = SystemConfig::edram_cache(8, 512);
     let alone = AloneIpcCache::new();
     let mixes = sensitive_mixes(8);
-    let grid = run_variant_grid(
+    let grid = Grid::new(
         &[
             (&small, PolicyKind::Baseline),
             (&small, PolicyKind::Dap),
@@ -164,7 +173,10 @@ pub fn fig15_edram(instructions: u64) -> FigureResult {
         &mixes,
         instructions,
         &alone,
-    );
+    )
+    .run()
+    .into_result()
+    .expect("grid incomplete");
     let rows = mixes
         .iter()
         .zip(&grid)

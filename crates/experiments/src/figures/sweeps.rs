@@ -4,7 +4,7 @@
 use mem_sim::dram::DramConfig;
 use mem_sim::{CacheKind, SystemConfig, CAPACITY_SCALE};
 
-use crate::exec::run_variant_grid;
+use crate::grid::Grid;
 use crate::metrics::{FigureResult, Row};
 use crate::runner::{AloneIpcCache, PolicyKind};
 
@@ -12,12 +12,15 @@ use super::sensitive_mixes;
 
 fn dap_over_baseline(config: &SystemConfig, instructions: u64, alone: &AloneIpcCache) -> Vec<Row> {
     let mixes = sensitive_mixes(config.cores);
-    let grid = run_variant_grid(
+    let grid = Grid::new(
         &[(config, PolicyKind::Baseline), (config, PolicyKind::Dap)],
         &mixes,
         instructions,
         alone,
-    );
+    )
+    .run()
+    .into_result()
+    .expect("grid incomplete");
     mixes
         .iter()
         .zip(&grid)

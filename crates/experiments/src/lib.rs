@@ -8,9 +8,10 @@
 //!
 //! All experiments take an `instructions` budget per core; larger budgets
 //! reduce warmup bias. Each figure's grid of independent simulations runs
-//! on the [`exec::ParallelExecutor`] (`DAP_THREADS` workers), and results
-//! are bit-identical at any thread count — the deterministic workloads
-//! and index-ordered result slots make every run reproducible.
+//! through one [`Grid`] on the [`exec::ParallelExecutor`] (`DAP_THREADS`
+//! workers, `DAP_RESUME` checkpoint), and results are bit-identical at any
+//! thread count — the deterministic workloads and index-ordered result
+//! slots make every run reproducible.
 //!
 //! ```no_run
 //! use experiments::figures;
@@ -29,6 +30,7 @@ pub mod exec;
 pub mod extensions;
 pub mod figures;
 pub mod fingerprint;
+pub mod grid;
 pub mod metrics;
 pub mod progress;
 pub mod runner;
@@ -36,13 +38,13 @@ pub mod shard;
 pub mod telemetry;
 
 pub use cancel::{global_cancel_token, CancelToken, EXIT_INTERRUPTED};
-pub use checkpoint::{cell_key, CheckpointManifest, RESUME_ENV};
+pub use checkpoint::{cell_key, resume_manifest, CheckpointManifest, RESUME_ENV};
 pub use exec::{
-    clear_cell_panic, inject_cell_panic, lock_unpoisoned, run_variant_grid,
-    run_variant_grid_recovered, run_variant_grid_recovered_with, CellError, CellErrorKind,
-    CellSpec, ExecError, ExperimentPlan, ParallelExecutor, RecoveredGrid,
+    clear_cell_panic, inject_cell_panic, lock_unpoisoned, CellError, CellErrorKind, CellSpec,
+    ParallelExecutor,
 };
 pub use fingerprint::ConfigFingerprint;
+pub use grid::{ExecError, Grid, GridRun};
 pub use metrics::{geomean, FigureResult, Row};
 pub use progress::{cell_finished, grid_started, GridProgress};
 pub use runner::{run_mix, run_workload, AloneIpcCache, PolicyKind, WorkloadRun};
@@ -52,7 +54,4 @@ pub use shard::{
     ExploreGrid, FleetOutcome, LeaseLog, LeaseSnapshot, MergeError, MergeReport, ParetoPoint,
     SupervisorConfig, WorkerConfig, WorkerSummary,
 };
-pub use telemetry::{
-    artifact_dir_from_env, export_variant_traces, run_variant_grid_traced, run_workload_traced,
-    TracedRun, VariantTelemetry,
-};
+pub use telemetry::{artifact_dir_from_env, export_variant_traces, VariantTelemetry};

@@ -64,7 +64,9 @@ impl fmt::Display for PolicyBuildError {
 
 impl std::error::Error for PolicyBuildError {}
 
-fn architecture_name(cache: &CacheKind) -> &'static str {
+/// The architecture's short name, as printed in errors and stored in
+/// telemetry artifact headers.
+pub(crate) fn architecture_name(cache: &CacheKind) -> &'static str {
     match cache {
         CacheKind::None => "no-cache",
         CacheKind::Sectored { .. } => "sectored",
@@ -255,7 +257,7 @@ pub struct WorkloadRun {
 /// Thread-safe cache of alone-run IPCs keyed by
 /// ([`ConfigFingerprint`], benchmark).
 ///
-/// Shared by reference across [`ParallelExecutor`](crate::exec) workers.
+/// Shared by reference across [`ParallelExecutor`](crate::exec::ParallelExecutor) workers.
 /// Concurrent first touches of the same key may each simulate the alone
 /// run, but the simulation is deterministic, so every thread computes the
 /// same IPC and the first insert wins — results never depend on timing.
@@ -280,12 +282,6 @@ impl AloneIpcCache {
         self.len() == 0
     }
 
-    /// The alone-run IPC for `bench` on `config`, simulating it on the
-    /// first touch and answering from the cache afterwards.
-    pub fn ipc(&self, config: &SystemConfig, bench: &'static str, instructions: u64) -> f64 {
-        self.get(config, bench, instructions)
-    }
-
     /// The cached alone IPC for `bench` on `config`, or `None` — never
     /// simulates. For publishing freshly computed entries to the shard
     /// explorer's fleet-shared alone store.
@@ -306,7 +302,9 @@ impl AloneIpcCache {
             .or_insert(ipc);
     }
 
-    fn get(&self, config: &SystemConfig, bench: &'static str, instructions: u64) -> f64 {
+    /// The alone-run IPC for `bench` on `config`, simulating it on the
+    /// first touch and answering from the cache afterwards.
+    pub fn ipc(&self, config: &SystemConfig, bench: &'static str, instructions: u64) -> f64 {
         let key = (ConfigFingerprint::of(config), bench);
         if let Some(&v) = lock_unpoisoned(&self.map).get(&key) {
             return v;
@@ -332,11 +330,32 @@ pub fn run_workload(
     instructions: u64,
     alone: &AloneIpcCache,
 ) -> WorkloadRun {
-    let result = run_mix(config, kind, mix, instructions);
+    run_workload_with(config, kind, mix, instructions, alone, |_| {})
+}
+
+/// [`run_workload`] with a hook that can attach telemetry to the system
+/// before it runs.
+///
+/// # Panics
+///
+/// Panics if the policy cannot run on the configuration's architecture
+/// (same contract as [`run_mix`]).
+pub(crate) fn run_workload_with(
+    config: &SystemConfig,
+    kind: PolicyKind,
+    mix: &Mix,
+    instructions: u64,
+    alone: &AloneIpcCache,
+    attach: impl FnOnce(&mut System),
+) -> WorkloadRun {
+    let policy = build_policy(kind, config).unwrap_or_else(|e| panic!("{e}"));
+    let mut system = System::with_policy(config.clone(), mix.traces(), policy);
+    attach(&mut system);
+    let result = system.run(instructions);
     let alone_ipcs: Vec<f64> = mix
         .specs
         .iter()
-        .map(|s| alone.get(config, s.name, instructions))
+        .map(|s| alone.ipc(config, s.name, instructions))
         .collect();
     let weighted_speedup = result.weighted_speedup(&alone_ipcs);
     WorkloadRun {

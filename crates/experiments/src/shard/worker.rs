@@ -11,29 +11,29 @@
 //! cell done whose result no manifest holds.
 //!
 //! Cells are executed serially (one simulation at a time per worker);
-//! parallelism comes from running N worker processes. Within a cell,
-//! two stop flags are armed through the quantum-granularity
-//! [`ScopedStop`] seam: the process [`CancelToken`] (Ctrl-C → release
-//! the lease, exit interrupted) and a stolen flag the heartbeat thread
-//! trips when its renewal loses — a stolen cell is abandoned without
-//! recording anything.
+//! parallelism comes from running N worker processes. Each cell runs as
+//! one attempt through the same function the in-process executor uses,
+//! with two stop flags armed through the quantum-granularity
+//! [`mem_sim::ScopedStop`] seam: the process [`CancelToken`] (Ctrl-C →
+//! release the lease, exit interrupted) and a stolen flag the heartbeat
+//! thread trips when its renewal loses — a stolen cell is abandoned
+//! without recording anything.
 //!
 //! Deterministic fault injection for the chaos harness rides on two
 //! environment variables ([`KILL_ENV`], [`POISON_ENV`]) so a scheduled
 //! SIGKILL-class death, a mid-run Ctrl-C, or a poisoned (always
 //! panicking) cell can be staged at an exact claim index.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mem_sim::{ScopedStop, StopCause};
+use mem_sim::StopCause;
 
 use crate::cancel::CancelToken;
 use crate::checkpoint::CheckpointManifest;
-use crate::exec::{classify, panic_message, CellErrorKind};
+use crate::exec::{attempt, CellErrorKind};
 use crate::runner::{run_workload, AloneIpcCache};
 use crate::shard::alone::{alone_key, AloneStore};
 use crate::shard::grid::ExploreGrid;
@@ -331,8 +331,7 @@ fn run_cell(
         (cfg.cancel.flag(), StopCause::Cancelled),
         (stolen.clone(), StopCause::Cancelled),
     ];
-    let armed = ScopedStop::install(&stop_flags);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    let outcome = attempt(&cell.label, &stop_flags, || {
         if poisoned {
             panic!("poisoned cell (injected via {POISON_ENV})");
         }
@@ -343,8 +342,7 @@ fn run_cell(
             cfg.grid.instructions,
             alone,
         )
-    }));
-    drop(armed);
+    });
     hb_stop.store(true, Ordering::SeqCst);
     let _ = heartbeat.join();
 
@@ -372,33 +370,27 @@ fn run_cell(
             eprintln!("[{worker_name}] {}: completed", cell.label);
             Ok(CellEnd::Completed)
         }
-        Err(payload) => {
-            let kind = classify(payload.as_ref());
-            let message = panic_message(payload);
-            match kind {
-                CellErrorKind::Cancelled if stolen.load(Ordering::SeqCst) => {
-                    eprintln!("[{worker_name}] {}: lease stolen, abandoned", cell.label);
-                    Ok(CellEnd::Abandoned)
-                }
-                CellErrorKind::Cancelled => {
-                    // Ctrl-C: hand the cell back gracefully so siblings
-                    // can claim it immediately instead of after a TTL.
-                    lease.release(&cell.key, worker_name, epoch)?;
-                    eprintln!(
-                        "[{worker_name}] {}: interrupted, lease released",
-                        cell.label
-                    );
-                    Ok(CellEnd::Interrupted)
-                }
-                CellErrorKind::Panicked | CellErrorKind::DeadlineExceeded => {
-                    let fails = lease.fail(&cell.key, worker_name, epoch, &message)?;
-                    eprintln!(
-                        "[{worker_name}] {}: failed ({message}); fleet-wide failure {fails}/{}",
-                        cell.label, cfg.quarantine_k
-                    );
-                    Ok(CellEnd::Failed)
-                }
-            }
+        Err((CellErrorKind::Cancelled, _)) if stolen.load(Ordering::SeqCst) => {
+            eprintln!("[{worker_name}] {}: lease stolen, abandoned", cell.label);
+            Ok(CellEnd::Abandoned)
+        }
+        Err((CellErrorKind::Cancelled, _)) => {
+            // Ctrl-C: hand the cell back gracefully so siblings can claim
+            // it immediately instead of after a TTL.
+            lease.release(&cell.key, worker_name, epoch)?;
+            eprintln!(
+                "[{worker_name}] {}: interrupted, lease released",
+                cell.label
+            );
+            Ok(CellEnd::Interrupted)
+        }
+        Err((CellErrorKind::Panicked | CellErrorKind::DeadlineExceeded, message)) => {
+            let fails = lease.fail(&cell.key, worker_name, epoch, &message)?;
+            eprintln!(
+                "[{worker_name}] {}: failed ({message}); fleet-wide failure {fails}/{}",
+                cell.label, cfg.quarantine_k
+            );
+            Ok(CellEnd::Failed)
         }
     }
 }

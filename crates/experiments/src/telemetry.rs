@@ -1,14 +1,14 @@
-//! Traced experiment execution: window-trace recording and metrics
-//! aggregation over the parallel grid, plus run-artifact export.
+//! Telemetry collected by traced grids, plus run-artifact export.
 //!
-//! Each `(variant, mix)` unit gets its **own** [`WindowTraceRecorder`] —
-//! traces are per-run data, and giving each unit a private recorder keeps
-//! the parallel grid deterministic (no cross-thread interleaving can
-//! reach a trace). Each *variant* shares one [`MetricsRegistry`] across
-//! all its mixes and worker threads; that is safe because counter and
-//! histogram totals are sums of commutative atomic adds, so the final
-//! snapshot is identical at any thread count
-//! (`tests/determinism.rs::traced_runs_stay_deterministic` proves it).
+//! A [`Grid::traced`](crate::grid::Grid::traced) run gives each
+//! `(variant, mix)` cell its **own** window-trace recorder — traces are
+//! per-run data, and a private recorder per cell keeps the parallel grid
+//! deterministic (no cross-thread interleaving can reach a trace). Each
+//! *variant* shares one metrics registry across all its mixes and worker
+//! threads; that is safe because counter and histogram totals are sums of
+//! commutative atomic adds, so the final snapshot is identical at any
+//! thread count (`tests/determinism.rs::traced_runs_stay_deterministic`
+//! proves it). The result lands in one [`VariantTelemetry`] per variant.
 //!
 //! Artifact output is controlled by two environment variables read by
 //! [`artifact_dir_from_env`]:
@@ -17,87 +17,12 @@
 //! * `DAP_TELEMETRY_DIR=<dir>` — where (default `target/telemetry`).
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use dap_telemetry::export::{
     write_window_trace_csv, write_window_trace_jsonl, ArtifactError, TraceMeta,
 };
-use dap_telemetry::metrics::{MetricsRegistry, MetricsSnapshot};
-use dap_telemetry::window::{WindowTrace, WindowTraceRecorder};
-use mem_sim::{CacheKind, SubsystemTelemetry, System, SystemConfig};
-use workloads::Mix;
-
-use crate::exec::{ExperimentPlan, ParallelExecutor};
-use crate::runner::{build_policy, AloneIpcCache, PolicyKind, WorkloadRun};
-
-/// Ring capacity for per-run recorders: enough for every window of the
-/// instruction budgets the figures use, without unbounded growth.
-const TRACE_CAPACITY: usize = 1 << 16;
-
-/// The architecture label stored in artifact headers.
-pub fn architecture_label(config: &SystemConfig) -> &'static str {
-    match &config.cache {
-        CacheKind::None => "no-cache",
-        CacheKind::Sectored { .. } => "sectored",
-        CacheKind::Alloy { .. } => "alloy",
-        CacheKind::Edram { .. } => "edram",
-        CacheKind::FlatTier { .. } => "flat-tier",
-    }
-}
-
-/// One traced simulation: the run outcome plus its window trace.
-#[derive(Debug, Clone)]
-pub struct TracedRun {
-    /// The run and its weighted speedup.
-    pub run: WorkloadRun,
-    /// The per-window DAP controller trace (empty for non-DAP policies —
-    /// they have no controller to trace).
-    pub trace: WindowTrace,
-    /// The cycle-attribution profiler's per-window rollups (empty when
-    /// profiling is disabled — `DAP_PROFILE_SAMPLE=0` or `telemetry-off`).
-    pub profile: Vec<dap_core::ProfileWindow>,
-}
-
-/// Runs one mix under one policy with telemetry attached: a private
-/// window-trace recorder plus subsystem metrics recorded into `registry`.
-///
-/// # Panics
-///
-/// Panics if the policy cannot run on the configuration's architecture
-/// (same contract as [`crate::runner::run_mix`]).
-pub fn run_workload_traced(
-    config: &SystemConfig,
-    kind: PolicyKind,
-    mix: &Mix,
-    instructions: u64,
-    alone: &AloneIpcCache,
-    registry: &MetricsRegistry,
-) -> TracedRun {
-    let policy = build_policy(kind, config).unwrap_or_else(|e| panic!("{e}"));
-    let mut system = System::with_policy(config.clone(), mix.traces(), policy);
-    let recorder = Arc::new(WindowTraceRecorder::new(TRACE_CAPACITY));
-    system.attach_dap_sink(recorder.clone());
-    system.attach_telemetry(SubsystemTelemetry::new(registry));
-    let result = system.run(instructions);
-    // Weighted speedup reuses the cached alone IPCs exactly like the
-    // untraced path, so traced and untraced runs report identical numbers.
-    let alone_ipcs: Vec<f64> = mix
-        .specs
-        .iter()
-        .map(|s| alone.ipc(config, s.name, instructions))
-        .collect();
-    let weighted_speedup = result.weighted_speedup(&alone_ipcs);
-    // Profile rollups must be read before `take()` clears both rings.
-    let profile = recorder.profile_windows();
-    TracedRun {
-        run: WorkloadRun {
-            result,
-            weighted_speedup,
-        },
-        trace: recorder.take(),
-        profile,
-    }
-}
+use dap_telemetry::metrics::MetricsSnapshot;
+use dap_telemetry::window::WindowTrace;
 
 /// Everything telemetry collected for one grid variant.
 #[derive(Debug, Clone)]
@@ -113,65 +38,6 @@ pub struct VariantTelemetry {
     /// Cycle-attribution rollups per mix, in mix order (empty inner
     /// vectors when profiling is disabled).
     pub profiles: Vec<(String, Vec<dap_core::ProfileWindow>)>,
-}
-
-/// Runs `variants.len()` traced units per mix in parallel: the traced
-/// analogue of [`crate::exec::run_variant_grid`]. One metrics registry is
-/// attached per *variant* (shared across that variant's mixes and worker
-/// threads); each unit still gets its own window-trace recorder. Returns
-/// per-mix runs in variant order plus per-variant telemetry.
-pub fn run_variant_grid_traced(
-    variants: &[(&SystemConfig, PolicyKind, &str)],
-    mixes: &[Mix],
-    instructions: u64,
-    alone: &AloneIpcCache,
-) -> (Vec<Vec<WorkloadRun>>, Vec<VariantTelemetry>) {
-    let _progress = crate::progress::grid_started(mixes.len() * variants.len());
-    let registries: Vec<MetricsRegistry> =
-        variants.iter().map(|_| MetricsRegistry::new()).collect();
-    let mut plan = ExperimentPlan::new();
-    for mix in mixes {
-        for (v, &(config, kind, _)) in variants.iter().enumerate() {
-            let registry = &registries[v];
-            plan.add(move || {
-                let traced = run_workload_traced(config, kind, mix, instructions, alone, registry);
-                crate::progress::cell_finished(crate::progress::windows_of(&traced.run));
-                traced
-            });
-        }
-    }
-    let mut traced = ParallelExecutor::from_env().run(plan).into_iter();
-    let mut per_mix: Vec<Vec<WorkloadRun>> = Vec::with_capacity(mixes.len());
-    let mut traces: Vec<Vec<(String, WindowTrace)>> = variants.iter().map(|_| Vec::new()).collect();
-    let mut profiles: Vec<Vec<(String, Vec<dap_core::ProfileWindow>)>> =
-        variants.iter().map(|_| Vec::new()).collect();
-    for mix in mixes {
-        let mut row = Vec::with_capacity(variants.len());
-        for (variant_traces, variant_profiles) in traces.iter_mut().zip(profiles.iter_mut()) {
-            // invariant: run() returns one result per added task; the
-            // plan added mixes × variants tasks in this same order.
-            let t = traced.next().expect("one result per unit");
-            variant_traces.push((mix.name.clone(), t.trace));
-            variant_profiles.push((mix.name.clone(), t.profile));
-            row.push(t.run);
-        }
-        per_mix.push(row);
-    }
-    let telemetry = variants
-        .iter()
-        .zip(registries.iter())
-        .zip(traces.into_iter().zip(profiles))
-        .map(
-            |((&(config, _, label), registry), (traces, profiles))| VariantTelemetry {
-                label: label.to_string(),
-                arch: architecture_label(config),
-                metrics: registry.snapshot(),
-                traces,
-                profiles,
-            },
-        )
-        .collect();
-    (per_mix, telemetry)
 }
 
 /// Where figure binaries write telemetry artifacts, when enabled:
@@ -235,7 +101,9 @@ pub fn export_variant_traces(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_workload;
+    use crate::grid::Grid;
+    use crate::runner::{AloneIpcCache, PolicyKind};
+    use mem_sim::SystemConfig;
     use workloads::{rate_mix, spec};
 
     const INSTR: u64 = 25_000;
@@ -243,20 +111,30 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced_numbers() {
         let config = SystemConfig::sectored_dram_cache(2);
-        let mix = rate_mix(spec("libquantum").unwrap(), 2);
+        let mixes = vec![rate_mix(spec("libquantum").unwrap(), 2)];
         let alone = AloneIpcCache::new();
-        let registry = MetricsRegistry::new();
-        let traced = run_workload_traced(&config, PolicyKind::Dap, &mix, INSTR, &alone, &registry);
-        let plain = run_workload(&config, PolicyKind::Dap, &mix, INSTR, &alone);
-        assert_eq!(traced.run.result.stats, plain.result.stats);
+        let variants = [(&config, PolicyKind::Dap)];
+        let traced = Grid::new(&variants, &mixes, INSTR, &alone)
+            .traced(&["dap"])
+            .run();
+        let plain = Grid::new(&variants, &mixes, INSTR, &alone).run();
+        let (traced_run, plain_run) = (
+            traced.runs[0][0].as_ref().unwrap(),
+            plain.runs[0][0].as_ref().unwrap(),
+        );
+        assert_eq!(traced_run.result.stats, plain_run.result.stats);
         assert_eq!(
-            traced.run.weighted_speedup.to_bits(),
-            plain.weighted_speedup.to_bits(),
+            traced_run.weighted_speedup.to_bits(),
+            plain_run.weighted_speedup.to_bits(),
             "telemetry must not perturb the simulation"
         );
+        assert!(plain.telemetry.is_empty(), "untraced grids collect none");
         if dap_telemetry::enabled() {
-            assert!(!traced.trace.records.is_empty(), "DAP windows recorded");
-            let snap = registry.snapshot();
+            assert!(
+                !traced.telemetry[0].traces[0].1.records.is_empty(),
+                "DAP windows recorded"
+            );
+            let snap = &traced.telemetry[0].metrics;
             assert!(snap.counters["mem.demand_reads"] > 0);
             assert!(snap.histograms["mem.read_latency"].count > 0);
         }
@@ -265,19 +143,13 @@ mod tests {
     #[test]
     fn baseline_runs_trace_no_windows() {
         let config = SystemConfig::sectored_dram_cache(2);
-        let mix = rate_mix(spec("libquantum").unwrap(), 2);
+        let mixes = vec![rate_mix(spec("libquantum").unwrap(), 2)];
         let alone = AloneIpcCache::new();
-        let registry = MetricsRegistry::new();
-        let traced = run_workload_traced(
-            &config,
-            PolicyKind::Baseline,
-            &mix,
-            INSTR,
-            &alone,
-            &registry,
-        );
+        let traced = Grid::new(&[(&config, PolicyKind::Baseline)], &mixes, INSTR, &alone)
+            .traced(&["base"])
+            .run();
         assert!(
-            traced.trace.records.is_empty(),
+            traced.telemetry[0].traces[0].1.records.is_empty(),
             "no DAP controller, no windows"
         );
     }
@@ -287,13 +159,17 @@ mod tests {
         let config = SystemConfig::sectored_dram_cache(2);
         let mixes = vec![rate_mix(spec("libquantum").unwrap(), 2)];
         let alone = AloneIpcCache::new();
-        let variants: Vec<(&SystemConfig, PolicyKind, &str)> = vec![
-            (&config, PolicyKind::Baseline, "base"),
-            (&config, PolicyKind::Dap, "dap"),
-        ];
-        let (per_mix, telemetry) = run_variant_grid_traced(&variants, &mixes, INSTR, &alone);
-        assert_eq!(per_mix.len(), 1);
-        assert_eq!(per_mix[0].len(), 2);
+        let grid = Grid::new(
+            &[(&config, PolicyKind::Baseline), (&config, PolicyKind::Dap)],
+            &mixes,
+            INSTR,
+            &alone,
+        )
+        .traced(&["base", "dap"])
+        .run();
+        assert_eq!(grid.runs.len(), 1);
+        assert_eq!(grid.runs[0].len(), 2);
+        let telemetry = &grid.telemetry;
         assert_eq!(telemetry.len(), 2);
         assert_eq!(telemetry[0].label, "base");
         assert_eq!(telemetry[1].arch, "sectored");
@@ -311,12 +187,13 @@ mod tests {
         let config = SystemConfig::sectored_dram_cache(2);
         let mixes = vec![rate_mix(spec("libquantum").unwrap(), 2)];
         let alone = AloneIpcCache::new();
-        let variants: Vec<(&SystemConfig, PolicyKind, &str)> =
-            vec![(&config, PolicyKind::Dap, "dap")];
-        let (_, telemetry) = run_variant_grid_traced(&variants, &mixes, INSTR, &alone);
+        let grid = Grid::new(&[(&config, PolicyKind::Dap)], &mixes, INSTR, &alone)
+            .traced(&["dap"])
+            .run();
         let dir = std::env::temp_dir().join(format!("dap-export-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let written = export_variant_traces(&dir, "fig-test", 64, &telemetry[0]).expect("export");
+        let written =
+            export_variant_traces(&dir, "fig-test", 64, &grid.telemetry[0]).expect("export");
         assert_eq!(written.len(), 2, "one jsonl + one csv");
         for path in &written {
             assert!(path.exists(), "{} missing", path.display());

@@ -2,15 +2,16 @@
 //! what finished and resume bit-identically, and a deadline-exceeded
 //! cell must surface as a structured error without aborting its
 //! siblings.
+//!
+//! Every grid here except the `DAP_CELL_DEADLINE_MS` one passes an
+//! explicit executor: that test sets the variable for the whole process.
 
 use std::time::Duration;
 
 use experiments::checkpoint::CheckpointManifest;
-use experiments::exec::{
-    run_variant_grid_recovered_with, CellErrorKind, CellSpec, ExecError, ParallelExecutor,
-};
+use experiments::exec::{CellErrorKind, CellSpec, ParallelExecutor, CELL_DEADLINE_ENV};
 use experiments::runner::{run_workload, AloneIpcCache, PolicyKind, WorkloadRun};
-use experiments::CancelToken;
+use experiments::{CancelToken, ExecError, Grid};
 use mem_sim::SystemConfig;
 use workloads::{bandwidth_sensitive, rate_mix, Mix};
 
@@ -45,15 +46,9 @@ fn cancelled_grid_resumes_bit_identically() {
     let total = mixes.len() * variants.len();
 
     // The reference: the same grid, never interrupted.
-    let unbroken = run_variant_grid_recovered_with(
-        &variants,
-        &mixes,
-        INSTR,
-        &AloneIpcCache::new(),
-        None,
-        0,
-        &ParallelExecutor::new(1),
-    );
+    let unbroken = Grid::new(&variants, &mixes, INSTR, &AloneIpcCache::new())
+        .executor(&ParallelExecutor::new(1))
+        .run();
     assert!(unbroken.is_complete(), "{:?}", unbroken.errors);
 
     // First pass: cancel deterministically after two cells complete.
@@ -61,15 +56,10 @@ fn cancelled_grid_resumes_bit_identically() {
     let manifest = CheckpointManifest::in_memory();
     let token = CancelToken::new();
     token.cancel_after(2);
-    let first = run_variant_grid_recovered_with(
-        &variants,
-        &mixes,
-        INSTR,
-        &AloneIpcCache::new(),
-        Some(&manifest),
-        0,
-        &ParallelExecutor::new(1).with_cancel(token.clone()),
-    );
+    let first = Grid::new(&variants, &mixes, INSTR, &AloneIpcCache::new())
+        .executor(&ParallelExecutor::new(1).with_cancel(token.clone()))
+        .checkpoint(&manifest)
+        .run();
     assert!(token.is_cancelled());
     assert!(first.cancelled());
     assert!(!first.is_complete());
@@ -88,15 +78,10 @@ fn cancelled_grid_resumes_bit_identically() {
     }
 
     // Second pass over the same manifest: only the remaining cells run.
-    let resumed = run_variant_grid_recovered_with(
-        &variants,
-        &mixes,
-        INSTR,
-        &AloneIpcCache::new(),
-        Some(&manifest),
-        0,
-        &ParallelExecutor::new(1),
-    );
+    let resumed = Grid::new(&variants, &mixes, INSTR, &AloneIpcCache::new())
+        .executor(&ParallelExecutor::new(1))
+        .checkpoint(&manifest)
+        .run();
     assert!(resumed.is_complete(), "{:?}", resumed.errors);
     assert_eq!(resumed.resumed, 2, "finished cells answer from checkpoint");
     assert_eq!(manifest.len(), total);
@@ -162,18 +147,30 @@ fn cancel_before_start_runs_nothing() {
     let manifest = CheckpointManifest::in_memory();
     let token = CancelToken::new();
     token.cancel_after(0);
-    let grid = run_variant_grid_recovered_with(
-        &variants,
-        &mixes,
-        INSTR,
-        &AloneIpcCache::new(),
-        Some(&manifest),
-        0,
-        &ParallelExecutor::new(1).with_cancel(token),
-    );
+    let grid = Grid::new(&variants, &mixes, INSTR, &AloneIpcCache::new())
+        .executor(&ParallelExecutor::new(1).with_cancel(token))
+        .checkpoint(&manifest)
+        .run();
     assert!(grid.cancelled());
     assert_eq!(grid.errors.len(), 1);
     assert_eq!(grid.errors[0].kind, CellErrorKind::Cancelled);
     assert_eq!(grid.errors[0].attempts, 0, "the cell never started");
     assert!(manifest.is_empty());
+}
+
+/// A figure-style grid — default executor, nothing passed but the cells —
+/// honors `DAP_CELL_DEADLINE_MS`: a cell far over its deadline reports
+/// `DeadlineExceeded` instead of running for minutes.
+#[test]
+fn figure_grid_honors_the_environment_deadline() {
+    std::env::set_var(CELL_DEADLINE_ENV, "1");
+    let config = SystemConfig::sectored_dram_cache(2);
+    let mixes = mixes(1);
+    let alone = AloneIpcCache::new();
+    let grid = Grid::new(&[(&config, PolicyKind::Dap)], &mixes, 50_000_000, &alone).run();
+    assert_eq!(grid.errors.len(), 1, "{:?}", grid.errors);
+    let error = &grid.errors[0];
+    assert_eq!(error.kind, CellErrorKind::DeadlineExceeded, "{error}");
+    assert_eq!(error.label, format!("{}/Dap", mixes[0].name));
+    assert!(grid.runs[0][0].is_none());
 }

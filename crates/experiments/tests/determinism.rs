@@ -1,4 +1,4 @@
-//! Serial-vs-parallel determinism: the same experiment plan must produce
+//! Serial-vs-parallel determinism: the same grid must produce
 //! bit-identical results on one thread and on many.
 //!
 //! This is the executor's core contract — `run_experiments.sh` may run
@@ -6,8 +6,9 @@
 //! not change.
 
 use dap_core::DecisionStats;
-use experiments::exec::{ExperimentPlan, ParallelExecutor};
-use experiments::runner::{run_workload, AloneIpcCache, PolicyKind};
+use experiments::exec::ParallelExecutor;
+use experiments::runner::{AloneIpcCache, PolicyKind, WorkloadRun};
+use experiments::Grid;
 use mem_sim::{CoreResult, SimStats, SystemConfig};
 use workloads::{bandwidth_sensitive, rate_mix};
 
@@ -17,36 +18,36 @@ const INSTR: u64 = 25_000;
 /// comparison is exact, not within-epsilon.
 type Outcome = (Vec<CoreResult>, SimStats, Option<DecisionStats>, u64);
 
+fn outcome(r: WorkloadRun) -> Outcome {
+    (
+        r.result.per_core,
+        r.result.stats,
+        r.result.dap_decisions,
+        r.weighted_speedup.to_bits(),
+    )
+}
+
 fn run_grid(threads: usize) -> Vec<Outcome> {
     let config = SystemConfig::sectored_dram_cache(2);
-    let alone = AloneIpcCache::new();
     let mixes: Vec<_> = bandwidth_sensitive()
         .into_iter()
         .take(3)
         .map(|s| rate_mix(s, 2))
         .collect();
-    let mut plan = ExperimentPlan::new();
-    {
-        let config = &config;
-        let alone = &alone;
-        for mix in &mixes {
-            for kind in [PolicyKind::Baseline, PolicyKind::Dap] {
-                plan.add(move || run_workload(config, kind, mix, INSTR, alone));
-            }
-        }
-    }
-    ParallelExecutor::new(threads)
-        .run(plan)
-        .into_iter()
-        .map(|r| {
-            (
-                r.result.per_core,
-                r.result.stats,
-                r.result.dap_decisions,
-                r.weighted_speedup.to_bits(),
-            )
-        })
-        .collect()
+    Grid::new(
+        &[(&config, PolicyKind::Baseline), (&config, PolicyKind::Dap)],
+        &mixes,
+        INSTR,
+        &AloneIpcCache::new(),
+    )
+    .executor(&ParallelExecutor::new(threads))
+    .run()
+    .into_result()
+    .expect("grid incomplete")
+    .into_iter()
+    .flatten()
+    .map(outcome)
+    .collect()
 }
 
 #[test]
@@ -67,34 +68,28 @@ type TracedOutcome = (
 );
 
 fn run_traced_grid(threads: usize) -> TracedOutcome {
-    experiments::exec::set_thread_override(threads);
     let config = SystemConfig::sectored_dram_cache(2);
-    let alone = AloneIpcCache::new();
     let mixes: Vec<_> = bandwidth_sensitive()
         .into_iter()
         .take(3)
         .map(|s| rate_mix(s, 2))
         .collect();
-    let variants: Vec<(&SystemConfig, PolicyKind, &str)> = vec![
-        (&config, PolicyKind::Baseline, "base"),
-        (&config, PolicyKind::Dap, "dap"),
-    ];
-    let (per_mix, telemetry) =
-        experiments::telemetry::run_variant_grid_traced(&variants, &mixes, INSTR, &alone);
-    experiments::exec::set_thread_override(0);
+    let grid = Grid::new(
+        &[(&config, PolicyKind::Baseline), (&config, PolicyKind::Dap)],
+        &mixes,
+        INSTR,
+        &AloneIpcCache::new(),
+    )
+    .executor(&ParallelExecutor::new(threads))
+    .traced(&["base", "dap"])
+    .run();
+    let telemetry = grid.telemetry;
     (
-        per_mix
+        grid.runs
             .into_iter()
             .map(|row| {
                 row.into_iter()
-                    .map(|r| {
-                        (
-                            r.result.per_core,
-                            r.result.stats,
-                            r.result.dap_decisions,
-                            r.weighted_speedup.to_bits(),
-                        )
-                    })
+                    .map(|r| outcome(r.expect("cell ran")))
                     .collect()
             })
             .collect(),

@@ -3,16 +3,23 @@
 //! bit-identical at any thread count, and a checkpointed grid must
 //! resume instead of recomputing.
 
+use std::sync::Mutex;
+
 use experiments::checkpoint::{cell_key, CheckpointManifest};
 use experiments::exec::{
-    clear_cell_panic, inject_cell_panic, run_variant_grid_recovered, ExperimentPlan,
-    ParallelExecutor,
+    clear_cell_panic, inject_cell_panic, lock_unpoisoned, CellSpec, ParallelExecutor,
 };
 use experiments::runner::{run_workload, AloneIpcCache, PolicyKind, WorkloadRun};
+use experiments::Grid;
 use mem_sim::{FaultSchedule, FaultTarget, SystemConfig};
 use workloads::{bandwidth_sensitive, rate_mix, Mix};
 
 const INSTR: u64 = 25_000;
+
+/// Panic injection is process-wide and keyed by cell label, and these
+/// tests' grids share `"{mix}/{kind:?}"` labels — serialize them so one
+/// test's armed injection can never fire in another test's grid.
+static INJECTION: Mutex<()> = Mutex::new(());
 
 fn mixes(n: usize) -> Vec<Mix> {
     bandwidth_sensitive()
@@ -47,23 +54,25 @@ fn key_of(run: &WorkloadRun) -> (Vec<mem_sim::CoreResult>, mem_sim::SimStats, u6
 fn faulted_grid_is_bit_identical_across_thread_counts() {
     let config = SystemConfig::sectored_dram_cache(2).with_faults(stress_schedule());
     let mixes = mixes(3);
+    let _serial = lock_unpoisoned(&INJECTION);
     let run_grid = |threads: usize| {
-        let alone = AloneIpcCache::new();
-        let mut plan = ExperimentPlan::new();
-        {
-            let config = &config;
-            let alone = &alone;
-            for mix in &mixes {
-                for kind in [PolicyKind::Baseline, PolicyKind::DapMeasured] {
-                    plan.add(move || run_workload(config, kind, mix, INSTR, alone));
-                }
-            }
-        }
-        ParallelExecutor::new(threads)
-            .run(plan)
-            .iter()
-            .map(key_of)
-            .collect::<Vec<_>>()
+        Grid::new(
+            &[
+                (&config, PolicyKind::Baseline),
+                (&config, PolicyKind::DapMeasured),
+            ],
+            &mixes,
+            INSTR,
+            &AloneIpcCache::new(),
+        )
+        .executor(&ParallelExecutor::new(threads))
+        .run()
+        .into_result()
+        .expect("grid incomplete")
+        .iter()
+        .flatten()
+        .map(key_of)
+        .collect::<Vec<_>>()
     };
     let serial = run_grid(1);
     assert_eq!(serial.len(), 6);
@@ -119,14 +128,13 @@ fn injected_panic_isolates_to_one_cell() {
         (&outaged, PolicyKind::DapMeasured),
     ];
 
-    let clean =
-        run_variant_grid_recovered(&variants, &mixes, INSTR, &AloneIpcCache::new(), None, 0);
+    let _serial = lock_unpoisoned(&INJECTION);
+    let clean = Grid::new(&variants, &mixes, INSTR, &AloneIpcCache::new()).run();
     assert!(clean.is_complete(), "{:?}", clean.errors);
 
     let victim = format!("{}/{:?}", mixes[1].name, PolicyKind::Dap);
     inject_cell_panic(&victim);
-    let faulted =
-        run_variant_grid_recovered(&variants, &mixes, INSTR, &AloneIpcCache::new(), None, 0);
+    let faulted = Grid::new(&variants, &mixes, INSTR, &AloneIpcCache::new()).run();
     clear_cell_panic();
 
     assert_eq!(faulted.errors.len(), 1, "exactly one cell may fail");
@@ -159,21 +167,21 @@ fn injected_panic_isolates_to_one_cell() {
 /// disturbing the grid's results.
 #[test]
 fn transient_panic_recovers_on_retry() {
+    let _serial = lock_unpoisoned(&INJECTION);
     let config = SystemConfig::sectored_dram_cache(2);
     let mixes = mixes(1);
-    let variants = [(&config, PolicyKind::Dap)];
-    let clean =
-        run_variant_grid_recovered(&variants, &mixes, INSTR, &AloneIpcCache::new(), None, 0);
+    let alone = AloneIpcCache::new();
+    let clean = Grid::new(&[(&config, PolicyKind::Dap)], &mixes, INSTR, &alone).run();
 
-    inject_cell_panic(&format!("{}/{:?}", mixes[0].name, PolicyKind::Dap));
-    let retried =
-        run_variant_grid_recovered(&variants, &mixes, INSTR, &AloneIpcCache::new(), None, 1);
+    let label = format!("{}/{:?}", mixes[0].name, PolicyKind::Dap);
+    inject_cell_panic(&label);
+    let cells = vec![CellSpec::new(label, || {
+        run_workload(&config, PolicyKind::Dap, &mixes[0], INSTR, &alone)
+    })];
+    let retried = ParallelExecutor::new(1).run_cells(cells, 1);
     clear_cell_panic();
-    assert!(retried.is_complete(), "{:?}", retried.errors);
-    assert_eq!(
-        key_of(retried.runs[0][0].as_ref().unwrap()),
-        key_of(clean.runs[0][0].as_ref().unwrap()),
-    );
+    let retried = retried[0].as_ref().expect("the retry recovers");
+    assert_eq!(key_of(retried), key_of(clean.runs[0][0].as_ref().unwrap()),);
 }
 
 /// An interrupted grid resumes from its checkpoint manifest: the second
@@ -194,42 +202,27 @@ fn checkpointed_grid_resumes_after_a_crash() {
         (&config, PolicyKind::DapMeasured),
     ];
     let manifest = CheckpointManifest::in_memory();
+    let grid = |alone: &AloneIpcCache| {
+        Grid::new(&variants, &mixes, INSTR, alone)
+            .checkpoint(&manifest)
+            .run()
+    };
 
+    let _serial = lock_unpoisoned(&INJECTION);
     let victim = format!("{}/{:?}", mixes[0].name, PolicyKind::Baseline);
     inject_cell_panic(&victim);
-    let first = run_variant_grid_recovered(
-        &variants,
-        &mixes,
-        INSTR,
-        &AloneIpcCache::new(),
-        Some(&manifest),
-        0,
-    );
+    let first = grid(&AloneIpcCache::new());
     clear_cell_panic();
     assert_eq!(first.errors.len(), 1);
     assert_eq!(manifest.len(), 3, "finished cells were checkpointed");
 
-    let second = run_variant_grid_recovered(
-        &variants,
-        &mixes,
-        INSTR,
-        &AloneIpcCache::new(),
-        Some(&manifest),
-        0,
-    );
+    let second = grid(&AloneIpcCache::new());
     assert!(second.is_complete());
     assert_eq!(second.resumed, 3, "only the failed cell re-ran");
     assert_eq!(manifest.len(), 4);
 
     // A third pass is answered entirely from the manifest.
-    let third = run_variant_grid_recovered(
-        &variants,
-        &mixes,
-        INSTR,
-        &AloneIpcCache::new(),
-        Some(&manifest),
-        0,
-    );
+    let third = grid(&AloneIpcCache::new());
     assert_eq!(third.resumed, 4);
     for (a, b) in second
         .runs

@@ -28,6 +28,8 @@
 //!
 //! [`DramModule::apply_faults`]: crate::dram::DramModule::apply_faults
 
+use dap_core::splitmix;
+
 use crate::clock::Cycle;
 
 /// Far-future clamp for outage-deferred service timelines. An access
@@ -428,16 +430,8 @@ impl ChannelFaults {
         if max_extra == 0 {
             return 0;
         }
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        mix(self.rng) % (max_extra + 1)
+        splitmix::next(&mut self.rng) % (max_extra + 1)
     }
-}
-
-/// SplitMix64 output mixer (also used to derive per-channel seeds).
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn jitter_seed(seed: u64, target: FaultTarget, channel: u32) -> u64 {
@@ -445,9 +439,10 @@ fn jitter_seed(seed: u64, target: FaultTarget, channel: u32) -> u64 {
         FaultTarget::Cache => 1u64,
         FaultTarget::MainMemory => 2u64,
     };
-    mix(seed
-        ^ tag.wrapping_mul(0xA076_1D64_78BD_642F)
-        ^ u64::from(channel).wrapping_mul(0xE703_7ED1_A0B4_28DB))
+    splitmix::mix64(
+        seed ^ tag.wrapping_mul(0xA076_1D64_78BD_642F)
+            ^ u64::from(channel).wrapping_mul(0xE703_7ED1_A0B4_28DB),
+    )
 }
 
 #[cfg(test)]

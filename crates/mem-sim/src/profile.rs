@@ -34,7 +34,7 @@
 
 use std::sync::Arc;
 
-use dap_core::{DecisionStats, ProfileWindow, TelemetrySink};
+use dap_core::{splitmix, DecisionStats, ProfileWindow, TelemetrySink};
 
 use crate::clock::Cycle;
 
@@ -45,15 +45,6 @@ pub const SAMPLE_ENV: &str = "DAP_PROFILE_SAMPLE";
 
 /// Default sampling interval: one in 64 demand accesses.
 pub const DEFAULT_SAMPLE_INTERVAL: u64 = 64;
-
-/// SplitMix64 finalizer: a statistically strong 64-bit mix, used to turn
-/// block addresses into sampling decisions without any RNG state.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The phase decomposition of one sampled demand access. Cycles, except
 /// the flags. Routing layers fill the tag phases through
@@ -149,7 +140,7 @@ impl AccessProfiler {
     #[inline]
     #[must_use]
     pub fn samples(&self, block: u64) -> bool {
-        self.interval == 1 || mix64(block).is_multiple_of(self.interval)
+        self.interval == 1 || splitmix::mix64(block).is_multiple_of(self.interval)
     }
 
     /// Attaches the sink that receives per-window rollups (the same sink

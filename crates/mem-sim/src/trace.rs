@@ -6,6 +6,8 @@
 //! defines the interface plus simple deterministic sources used in tests
 //! and microbenchmark kernels.
 
+use dap_core::splitmix;
+
 use crate::BLOCK_SHIFT;
 
 /// Load or store.
@@ -139,7 +141,7 @@ impl ChaseTrace {
             base,
             blocks: footprint_bytes / 64,
             gap,
-            state: 0x9E3779B97F4A7C15,
+            state: splitmix::GAMMA,
         }
     }
 }
@@ -147,11 +149,7 @@ impl ChaseTrace {
 impl TraceSource for ChaseTrace {
     fn next_op(&mut self) -> TraceOp {
         // SplitMix64 step: deterministic, uniform, serially dependent.
-        self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^= z >> 31;
+        let z = splitmix::next(&mut self.state);
         let addr = self.base + (z % self.blocks) * 64;
         TraceOp {
             gap: self.gap,

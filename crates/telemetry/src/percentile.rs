@@ -81,16 +81,7 @@ impl HistogramSnapshot {
 mod tests {
     use super::*;
     use crate::metrics::bucket_for;
-
-    /// SplitMix64 step — the workspace's standard seeded generator shape
-    /// (no registry RNG dependencies).
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    use dap_core::splitmix::next as splitmix64;
 
     #[test]
     fn empty_histogram_returns_none_sentinel() {

@@ -24,16 +24,12 @@ use std::time::{Duration, Instant};
 
 const SEED: u64 = 0x0005_CA1E_F002;
 
-/// SplitMix64 (Steele et al.), inlined to keep this crate leaf-level.
+/// Seeded fuzz stream over the workspace's one SplitMix64.
 struct SplitMix64(u64);
 
 impl SplitMix64 {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        dap_core::splitmix::next(&mut self.0)
     }
 
     fn below(&mut self, bound: u64) -> u64 {

@@ -148,13 +148,7 @@ fn jsonl_and_csv_round_trip_preserve_invariants() {
 
 /// Splitmix64: the same deterministic generator the simulator uses for
 /// jitter, reused here to corrupt artifacts reproducibly.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
+use dap_core::splitmix::next as splitmix64;
 
 /// Fuzz-style corruption: for several seeds, truncate, byte-flip, or
 /// garbage-fill a random subset of record lines. The strict reader must

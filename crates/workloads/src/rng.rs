@@ -4,7 +4,7 @@
 //! seeded randomness that the workload generators and the property tests
 //! need comes from this module instead of the `rand` crate. The generator
 //! is SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): a 64-bit counter fed
-//! through a finalizing mixer. It is tiny, passes BigCrush, and — most
+//! through a finalizing mixer, wrapped here from [`dap_decide::splitmix`]. It is tiny, passes BigCrush, and — most
 //! importantly here — its output sequence is a pure function of the seed,
 //! so every workload trace and every "property" test case is reproducible
 //! across platforms and Rust versions (unlike `HashMap` iteration or
@@ -42,12 +42,9 @@ impl SplitMix64 {
     }
 
     /// The next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        dap_decide::splitmix::next(&mut self.state)
     }
 
     /// A uniform `f64` in `[0, 1)` (53 random mantissa bits).
