@@ -11,9 +11,8 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
-# --workspace matters: with a root package, a bare `cargo build` covers
-# only that package — the figure binaries and dapctl live in dap-bench
-# and would silently stay stale (or missing on a clean checkout).
+# --workspace repeats what `default-members` in Cargo.toml already says:
+# the figure binaries and dapctl live in dap-bench, not the root package.
 echo "== cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
 

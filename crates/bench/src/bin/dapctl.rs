@@ -86,7 +86,8 @@
 
 use std::sync::Arc;
 
-use dap_telemetry::{MetricsRegistry, TraceMeta, WindowTraceRecorder};
+use dap_telemetry::accept::Acceptor;
+use dap_telemetry::{MetricsRegistry, OpsRouter, TraceMeta, WindowTraceRecorder};
 use experiments::runner::{build_policy, PolicyKind};
 use mem_sim::trace::TraceSource;
 use mem_sim::{SubsystemTelemetry, System, SystemConfig};
@@ -632,7 +633,7 @@ fn explore(args: &Args) {
         experiments::LeaseLog::open(&out_dir.join("lease.log"), args.ttl_ms, args.poison_k).ok();
     let _fleet_ops = args.metrics_addr.as_deref().map(|addr| {
         let prom_path = prom.clone();
-        let router: dap_telemetry::OpsRouter = Arc::new(move |path: &str| match path {
+        let router: OpsRouter = Arc::new(move |path: &str| match path {
             "/metrics" => match std::fs::read_to_string(&prom_path) {
                 Ok(text) => dap_telemetry::OpsResponse::ok_text(text),
                 Err(_) => dap_telemetry::OpsResponse::ok_text(String::new()),
@@ -640,17 +641,7 @@ fn explore(args: &Args) {
             "/healthz" => dap_telemetry::OpsResponse::ok_text("ok\n".to_string()),
             _ => dap_telemetry::OpsResponse::not_found(),
         });
-        let server = dap_telemetry::OpsServer::bind(addr).unwrap_or_else(|e| {
-            eprintln!("error: cannot bind metrics endpoint {addr}: {e}");
-            std::process::exit(1);
-        });
-        let bound = server.local_addr().unwrap();
-        let handle = server.spawn(router).unwrap_or_else(|e| {
-            eprintln!("error: cannot start metrics endpoint: {e}");
-            std::process::exit(1);
-        });
-        println!("explore: fleet metrics on http://{bound}/metrics");
-        handle
+        serve_ops(addr, router, "explore: fleet metrics", "/metrics")
     });
     let mut last_prom = std::time::Instant::now() - std::time::Duration::from_secs(1);
     let outcome = experiments::supervise_with_tick(
@@ -756,6 +747,20 @@ fn write_atomic(path: &std::path::Path, text: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
+/// Serves `router` on the ops endpoint `addr`, exiting on failure, and
+/// prints `{what} on http://ADDR{path}` with the bound address.
+fn serve_ops(addr: &str, router: OpsRouter, what: &str, path: &str) -> Acceptor {
+    let ops = dap_telemetry::OpsServer::bind(addr)
+        .and_then(|server| server.spawn(router))
+        .unwrap_or_else(|e| {
+            eprintln!("error: cannot start metrics endpoint {addr}: {e}");
+            std::process::exit(1);
+        });
+    let bound = ops.addr().expect("the ops endpoint listens on TCP");
+    println!("{what} on http://{bound}{path}");
+    ops
+}
+
 /// `dapctl serve`: run the dapd daemon until a client asks it to stop.
 fn serve(args: &Args) {
     let mut config = dapd::EngineConfig::hbm_ddr4_pair();
@@ -777,35 +782,30 @@ fn serve(args: &Args) {
         flight_dump_path: Some(flight_dump.clone()),
         ..dapd::ServerConfig::default()
     };
-    let handle = if let Some(addr) = &args.tcp {
-        let server = dapd::Server::bind_tcp(addr, engine)
-            .and_then(|s| s.with_config(server_config))
-            .unwrap_or_else(|e| {
-                eprintln!("error: cannot bind {addr}: {e}");
-                std::process::exit(1);
-            });
-        println!("dapd listening on tcp {}", server.local_addr().unwrap());
-        server.spawn()
-    } else {
-        let path = args
-            .socket
-            .clone()
-            .unwrap_or_else(|| DEFAULT_SOCKET.to_string());
-        if let Some(parent) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(parent);
+    let path = args.socket.as_deref().unwrap_or(DEFAULT_SOCKET);
+    let (bound, target) = match &args.tcp {
+        Some(addr) => (dapd::Server::bind_tcp(addr, engine), addr.as_str()),
+        None => {
+            let socket = std::path::Path::new(path);
+            if let Some(parent) = socket.parent() {
+                let _ = std::fs::create_dir_all(parent);
+            }
+            // bind_unix probes an existing socket file: a stale one (crashed
+            // daemon) is reclaimed, a live daemon's is left alone.
+            (dapd::Server::bind_unix(socket, engine), path)
         }
-        // bind_unix probes an existing socket file: a stale one (crashed
-        // daemon) is reclaimed, a live daemon's is left alone.
-        let server = dapd::Server::bind_unix(std::path::Path::new(&path), engine)
-            .and_then(|s| s.with_config(server_config))
-            .unwrap_or_else(|e| {
-                eprintln!("error: cannot bind {path}: {e}");
-                std::process::exit(1);
-            });
-        println!("dapd listening on unix {path}");
-        server.spawn()
     };
-    let handle = handle.unwrap_or_else(|e| {
+    let server = bound
+        .and_then(|s| s.with_config(server_config))
+        .unwrap_or_else(|e| {
+            eprintln!("error: cannot bind {target}: {e}");
+            std::process::exit(1);
+        });
+    match server.local_addr() {
+        Some(addr) => println!("dapd listening on tcp {addr}"),
+        None => println!("dapd listening on unix {path}"),
+    }
+    let handle = server.spawn().unwrap_or_else(|e| {
         eprintln!("error: cannot start acceptor: {e}");
         std::process::exit(1);
     });
@@ -814,21 +814,11 @@ fn serve(args: &Args) {
     let flight = handle.with_engine(|e| Arc::clone(e.flight()));
     dap_telemetry::flight::install_panic_dump(Arc::clone(&flight), flight_dump.clone(), "dapd");
     dap_bench::sigint::install_usr1();
-    let _ops = args.metrics_addr.as_deref().map(|addr| {
-        let server = dap_telemetry::OpsServer::bind(addr).unwrap_or_else(|e| {
-            eprintln!("error: cannot bind metrics endpoint {addr}: {e}");
-            std::process::exit(1);
-        });
-        let bound = server.local_addr().unwrap();
-        let ops = server
-            .spawn(dapd::ops_router(handle.ops_view()))
-            .unwrap_or_else(|e| {
-                eprintln!("error: cannot start metrics endpoint: {e}");
-                std::process::exit(1);
-            });
-        println!("dapd metrics on http://{bound}");
-        ops
-    });
+    let ops_router = dapd::ops_router(handle.ops_view());
+    let _ops = args
+        .metrics_addr
+        .as_deref()
+        .map(|addr| serve_ops(addr, ops_router, "dapd metrics", ""));
     // Wait for shutdown cooperatively instead of a blocking join, so
     // SIGUSR1 flight dumps and Ctrl-C both work while serving.
     let cancel = experiments::global_cancel_token();

@@ -19,8 +19,8 @@
 //!   Eq. 4 optimum, and a Memshare-style tenant ledger (reserved shares +
 //!   best-effort pool) with an exact credit-conservation invariant.
 //! * [`server`] — a std-only, thread-per-connection TCP/Unix-socket
-//!   server plus the matching blocking [`client::Client`], and a
-//!   Prometheus-text stats dump via `dap-telemetry`.
+//!   server on the [`dap_telemetry::accept`] acceptor, plus the matching
+//!   blocking [`client::Client`], and a Prometheus-text stats dump.
 //!
 //! The serving path is hardened for overload and partial failure: the
 //! server runs every connection under a [`server::ServerConfig`]

@@ -36,17 +36,19 @@
 //! [`FlightRecorder`] with its cause, and `GetRoute` handling is timed
 //! into the `dapd_decision_ns` histogram (server path only — the
 //! in-process bench drives [`Engine`] directly and stays uninstrumented).
-//! If [`ServerConfig::flight_dump_path`] is set, the accept loop watches
-//! the reject rate once per second and dumps the flight ring when it
+//! If [`ServerConfig::flight_dump_path`] is set, the acceptor's tick
+//! watches the reject rate once per second and dumps the flight ring when it
 //! spikes past [`ServerConfig::reject_spike_per_sec`], so the window
 //! around an incident is preserved even if nobody was scraping.
 //! [`ServerHandle::ops_view`] exposes the `/metrics`, `/healthz`,
 //! `/varz`, and `/debug/flight` endpoints for an
 //! [`OpsServer`](dap_telemetry::http::OpsServer) via [`ops_router`].
 //!
-//! Finished worker handles are pruned in the accept loop (the live count
-//! is what the connection cap is checked against), so the worker table
-//! stays bounded for the life of the server.
+//! Connections arrive through [`dap_telemetry::accept`], the bounded
+//! acceptor the ops plane shares, under its four rules: accept errors
+//! are retried, streams are set blocking before their deadlines are
+//! armed, unarmable streams are refused, and dropping the
+//! [`ServerHandle`] stops and joins it (and unlinks the socket file).
 //!
 //! Shutdown is cooperative: any client may send [`Message::Shutdown`];
 //! the acceptor notices within one poll interval (10 ms), stops
@@ -57,18 +59,16 @@
 
 use crate::engine::{Engine, EngineError};
 use crate::wire::{read_frame_counted, write_frame, Message, RejectCode};
+use dap_telemetry::accept::{self, Acceptor, Conn, Limits, Listener};
 use dap_telemetry::http::OpsResponse;
 use dap_telemetry::{labeled, Counter, FlightKind, FlightRecorder, Histogram};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
 use std::time::{Duration, Instant};
-
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Overload and deadline knobs for a [`Server`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,57 +201,38 @@ impl ServerMetrics {
     }
 }
 
-/// Socket-type-independent view of one accepted connection: blocking
-/// I/O plus OS-level read/write deadlines.
-trait Conn: io::Read + io::Write + Send + 'static {
-    fn set_deadlines(&self, read: Duration, write: Duration) -> io::Result<()>;
-}
-
-impl Conn for TcpStream {
-    fn set_deadlines(&self, read: Duration, write: Duration) -> io::Result<()> {
-        self.set_read_timeout(Some(read))?;
-        self.set_write_timeout(Some(write))
-    }
-}
-
-impl Conn for UnixStream {
-    fn set_deadlines(&self, read: Duration, write: Duration) -> io::Result<()> {
-        self.set_read_timeout(Some(read))?;
-        self.set_write_timeout(Some(write))
-    }
-}
-
 /// A bound, not-yet-running daemon.
 pub struct Server {
-    listener: Listener,
+    listener: Box<dyn Listener>,
+    /// The Unix socket path, unlinked when the daemon stops.
+    socket_file: Option<PathBuf>,
     engine: Arc<Mutex<Engine>>,
     config: ServerConfig,
 }
 
-enum Listener {
-    Tcp(TcpListener),
-    Unix(UnixListener, PathBuf),
+/// Handle to a running daemon; dropping it stops the daemon.
+pub struct ServerHandle {
+    // Declared before `_socket_file`: fields drop in order, so the
+    // acceptor is stopped and joined before the socket is unlinked.
+    acceptor: Acceptor,
+    engine: Arc<Mutex<Engine>>,
+    _socket_file: Option<SocketFile>,
 }
 
-/// Handle to a running daemon.
-pub struct ServerHandle {
-    stop: Arc<AtomicBool>,
-    acceptor: thread::JoinHandle<io::Result<()>>,
-    engine: Arc<Mutex<Engine>>,
-    /// Unix socket path to unlink on join, if any.
-    unlink: Option<PathBuf>,
+/// A Unix socket path, unlinked on drop.
+struct SocketFile(PathBuf);
+
+impl Drop for SocketFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
 }
 
 impl Server {
     /// Binds a TCP listener. `addr` may use port 0 to let the OS pick;
     /// [`Server::local_addr`] reports the result.
     pub fn bind_tcp(addr: &str, engine: Engine) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(Self {
-            listener: Listener::Tcp(listener),
-            engine: Arc::new(Mutex::new(engine)),
-            config: ServerConfig::default(),
-        })
+        Ok(Self::new(Box::new(TcpListener::bind(addr)?), None, engine))
     }
 
     /// Binds a Unix-domain socket.
@@ -285,11 +266,16 @@ impl Server {
             },
             Err(e) => return Err(e),
         };
-        Ok(Self {
-            listener: Listener::Unix(listener, path.to_path_buf()),
+        Ok(Self::new(Box::new(listener), Some(path.into()), engine))
+    }
+
+    fn new(listener: Box<dyn Listener>, socket_file: Option<PathBuf>, engine: Engine) -> Self {
+        Self {
+            listener,
+            socket_file,
             engine: Arc::new(Mutex::new(engine)),
             config: ServerConfig::default(),
-        })
+        }
     }
 
     /// Replaces the default overload/deadline configuration.
@@ -299,72 +285,54 @@ impl Server {
         Ok(self)
     }
 
-    /// The active overload/deadline configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
     /// The bound TCP address (None for Unix sockets).
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        match &self.listener {
-            Listener::Tcp(l) => l.local_addr().ok(),
-            Listener::Unix(..) => None,
-        }
+        self.listener.tcp_addr()
     }
 
-    /// Starts the accept loop on a background thread.
+    /// Starts the bounded acceptor: `serve_connection` per connection,
+    /// `shed` over the cap, and the reject-spike watcher as its tick.
     pub fn spawn(self) -> io::Result<ServerHandle> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let engine = Arc::clone(&self.engine);
-        let metrics = ServerMetrics::new(&engine.lock().unwrap());
-        let unlink = match &self.listener {
-            Listener::Unix(_, path) => Some(path.clone()),
-            Listener::Tcp(_) => None,
+        let config = self.config;
+        let metrics = ServerMetrics::new(&self.engine.lock().unwrap());
+        let limits = Limits {
+            max_connections: config.max_connections,
+            read_deadline: config.read_deadline,
+            write_deadline: config.write_deadline,
         };
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            let engine = Arc::clone(&self.engine);
-            let config = self.config;
-            match self.listener {
-                Listener::Tcp(l) => {
-                    l.set_nonblocking(true)?;
-                    thread::spawn(move || accept_loop(l, stop, engine, config, metrics, accept_tcp))
-                }
-                Listener::Unix(l, _) => {
-                    l.set_nonblocking(true)?;
-                    thread::spawn(move || {
-                        accept_loop(l, stop, engine, config, metrics, accept_unix)
-                    })
-                }
+        let handler = {
+            let (engine, config, metrics) =
+                (Arc::clone(&self.engine), config.clone(), metrics.clone());
+            move |stream, stop: &AtomicBool| {
+                let _ = serve_connection(stream, &engine, stop, &config, &metrics);
             }
         };
+        let shed_metrics = metrics.clone();
+        let mut spikes = SpikeWatcher::new(&metrics);
+        let acceptor = accept::spawn(
+            self.listener,
+            limits,
+            handler,
+            move |stream| shed(stream, &shed_metrics),
+            move || spikes.tick(&config, &metrics),
+        )?;
         Ok(ServerHandle {
-            stop,
             acceptor,
-            engine,
-            unlink,
+            engine: self.engine,
+            _socket_file: self.socket_file.map(SocketFile),
         })
     }
 }
 
-fn accept_tcp(l: &TcpListener) -> io::Result<TcpStream> {
-    l.accept().map(|(s, _)| s)
-}
-
-fn accept_unix(l: &UnixListener) -> io::Result<UnixStream> {
-    l.accept().map(|(s, _)| s)
-}
-
 /// Sheds one over-cap connection: best-effort `Reject(Overloaded)`, then
-/// close (by drop). The write deadline bounds how long a non-reading
-/// peer can hold the acceptor.
-fn shed<S: Conn>(mut stream: S, config: &ServerConfig, metrics: &ServerMetrics) {
+/// close (by drop). The acceptor armed the write deadline, which bounds
+/// how long a non-reading peer can hold it.
+fn shed(mut stream: Box<dyn Conn>, metrics: &ServerMetrics) {
     metrics.shed.incr();
     metrics.reject(&metrics.rejected_overloaded, "overloaded", 0, 0);
     metrics
         .flight
         .record(FlightKind::Shed, "overloaded", [0; 6]);
-    let _ = stream.set_deadlines(config.read_deadline, config.write_deadline);
     let _ = write_frame(&mut stream, &Message::Reject(RejectCode::Overloaded));
 }
 
@@ -413,68 +381,10 @@ impl SpikeWatcher {
     }
 }
 
-fn accept_loop<L, S>(
-    listener: L,
-    stop: Arc<AtomicBool>,
-    engine: Arc<Mutex<Engine>>,
-    config: ServerConfig,
-    metrics: ServerMetrics,
-    accept: fn(&L) -> io::Result<S>,
-) -> io::Result<()>
-where
-    L: Send + 'static,
-    S: Conn,
-{
-    let mut workers: Vec<thread::JoinHandle<()>> = Vec::new();
-    let mut spikes = SpikeWatcher::new(&metrics);
-    while !stop.load(Ordering::SeqCst) {
-        spikes.tick(&config, &metrics);
-        match accept(&listener) {
-            Ok(stream) => {
-                // Prune finished workers first: the live count is what
-                // the cap is checked against, and the table must not
-                // grow for the life of the server.
-                workers.retain(|w| !w.is_finished());
-                if workers.len() >= config.max_connections {
-                    shed(stream, &config, &metrics);
-                    continue;
-                }
-                if stream
-                    .set_deadlines(config.read_deadline, config.write_deadline)
-                    .is_err()
-                {
-                    // A socket we cannot arm deadlines on could pin a
-                    // worker forever; refuse it.
-                    continue;
-                }
-                let engine = Arc::clone(&engine);
-                let stop = Arc::clone(&stop);
-                let config = config.clone();
-                let metrics = metrics.clone();
-                workers.push(thread::spawn(move || {
-                    let _ = serve_connection(stream, engine, stop, &config, &metrics);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                workers.retain(|w| !w.is_finished());
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    // Deadlines bound this join: every worker wakes from its blocking
-    // read within one read_deadline and exits (drain reject or timeout).
-    for w in workers {
-        let _ = w.join();
-    }
-    Ok(())
-}
-
 fn serve_connection<S: io::Read + io::Write>(
     mut stream: S,
-    engine: Arc<Mutex<Engine>>,
-    stop: Arc<AtomicBool>,
+    engine: &Mutex<Engine>,
+    stop: &AtomicBool,
     config: &ServerConfig,
     metrics: &ServerMetrics,
 ) -> io::Result<()> {
@@ -623,12 +533,6 @@ impl OpsView {
         let flight = Arc::clone(self.engine.lock().unwrap().flight());
         flight.dump_jsonl("dapd")
     }
-
-    /// Runs `f` against the shared engine (same contract as
-    /// [`ServerHandle::with_engine`]).
-    pub fn with_engine<R>(&self, f: impl FnOnce(&Engine) -> R) -> R {
-        f(&self.engine.lock().unwrap())
-    }
 }
 
 /// Routes the four ops endpoints — `/metrics`, `/healthz`, `/varz`,
@@ -647,7 +551,7 @@ pub fn ops_router(view: OpsView) -> dap_telemetry::http::OpsRouter {
 impl ServerHandle {
     /// Asks the daemon to stop without a client round-trip.
     pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.acceptor.request_stop();
     }
 
     /// A clonable ops-plane view of the daemon (see [`OpsView`]).
@@ -657,14 +561,10 @@ impl ServerHandle {
         }
     }
 
-    /// Whether a shutdown has been requested.
+    /// Whether a shutdown has been requested (or the acceptor has
+    /// exited).
     pub fn stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
-    /// Renders the engine's current stats (works while running).
-    pub fn stats_text(&self) -> String {
-        self.engine.lock().unwrap().stats_text()
+        self.acceptor.stopping()
     }
 
     /// Runs `f` against the shared engine — introspection for tests and
@@ -674,16 +574,11 @@ impl ServerHandle {
         f(&self.engine.lock().unwrap())
     }
 
-    /// Waits for the acceptor to exit and cleans up the socket file.
+    /// Waits for the acceptor to exit (a client's `Shutdown` or
+    /// [`ServerHandle::request_stop`]), then unlinks the socket file.
     pub fn join(self) -> io::Result<()> {
-        let result = self
-            .acceptor
-            .join()
-            .map_err(|_| io::Error::other("acceptor thread panicked"))?;
-        if let Some(path) = &self.unlink {
-            let _ = std::fs::remove_file(path);
-        }
-        result
+        // `_socket_file` drops when this returns, after the join.
+        self.acceptor.join()
     }
 }
 
@@ -694,6 +589,8 @@ mod tests {
     use crate::engine::EngineConfig;
     use crate::wire::read_frame;
     use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::thread;
 
     fn spawn_tcp() -> (ServerHandle, SocketAddr) {
         let engine = Engine::new(EngineConfig::hbm_ddr4_pair()).unwrap();
@@ -785,6 +682,18 @@ mod tests {
     }
 
     #[test]
+    fn dropped_handle_stops_and_unlinks_its_socket() {
+        let path = std::env::temp_dir().join(format!("dapd-drop-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let engine = Engine::new(EngineConfig::hbm_ddr4_pair()).unwrap();
+        drop(Server::bind_unix(&path, engine).unwrap().spawn().unwrap());
+        assert!(!path.exists(), "dropped daemon left its socket file");
+        let engine = Engine::new(EngineConfig::hbm_ddr4_pair()).unwrap();
+        let rebound = Server::bind_unix(&path, engine).expect("the path is free again");
+        drop(rebound.spawn().unwrap());
+    }
+
+    #[test]
     fn unknown_tenant_gets_typed_reject() {
         let (handle, addr) = spawn_tcp();
         let mut client = Client::connect_tcp(&addr.to_string()).unwrap();
@@ -811,7 +720,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let stats = handle.stats_text();
+        let stats = handle.ops_view().metrics_text();
         assert!(stats.contains("dapd_decisions_total 1000"), "{stats}");
         handle.request_stop();
         handle.join().unwrap();
@@ -841,7 +750,7 @@ mod tests {
             other => panic!("expected Overloaded reject, got {other:?}"),
         }
         assert_eq!(read_frame(&mut extra).unwrap(), None, "then closed");
-        let stats = handle.stats_text();
+        let stats = handle.ops_view().metrics_text();
         assert!(counter_value(&stats, "dapd_shed_total") >= 1, "{stats}");
         assert!(
             counter_value(&stats, "dapd_rejected_total{cause=\"overloaded\"}") >= 1,
@@ -873,7 +782,7 @@ mod tests {
         // The server must hang up (EOF), not wait forever.
         let mut buf = [0u8; 16];
         assert_eq!(stream.read(&mut buf).unwrap(), 0, "dropped at deadline");
-        let stats = handle.stats_text();
+        let stats = handle.ops_view().metrics_text();
         assert!(
             counter_value(&stats, "dapd_rejected_total{cause=\"deadline\"}") >= 1,
             "{stats}"
@@ -923,7 +832,7 @@ mod tests {
         }
         let err = client.get_route(0, 64).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ResourceBusy, "{err}");
-        let stats = handle.stats_text();
+        let stats = handle.ops_view().metrics_text();
         assert!(
             counter_value(&stats, "dapd_rejected_total{cause=\"frame_budget\"}") >= 1,
             "{stats}"
@@ -946,7 +855,7 @@ mod tests {
         client.get_route(0, 64).unwrap();
         let err = client.get_route(0, 64).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ResourceBusy, "{err}");
-        let stats = handle.stats_text();
+        let stats = handle.ops_view().metrics_text();
         assert!(
             counter_value(&stats, "dapd_rejected_total{cause=\"byte_budget\"}") >= 1,
             "{stats}"
@@ -968,7 +877,7 @@ mod tests {
             .unwrap()
             .spawn(ops_router(handle.ops_view()))
             .unwrap();
-        let ops_addr = ops.addr().to_string();
+        let ops_addr = ops.addr().unwrap().to_string();
         let timeout = Duration::from_secs(5);
 
         let (status, body) = http_get(&ops_addr, "/metrics", timeout).unwrap();

@@ -75,7 +75,7 @@ fn loadgen_survives_mid_run_restart_without_double_counts() {
             // Let the (at most one, single client) in-flight request
             // finish before freezing the total.
             thread::sleep(Duration::from_millis(50));
-            let served_first = served_bytes_total(&first.stats_text());
+            let served_first = served_bytes_total(&first.ops_view().metrics_text());
             first.join().expect("first daemon exits");
             thread::sleep(Duration::from_millis(150)); // hard outage
             (served_first, spawn_server(&path))

@@ -6,11 +6,12 @@
 //! exactly three outcomes (200 with a body, 404, 400). [`OpsServer`]
 //! implements that subset over std's blocking sockets:
 //!
-//! - the accept loop is non-blocking with a 10 ms poll (mirroring
-//!   `dapd::Server`), so a stalled or malicious client can never park
-//!   it — requests are served on short-lived per-connection threads
-//!   capped at [`OpsServerConfig::max_connections`], and connections
-//!   over the cap are closed unserved;
+//! - connections are accepted by the shared bounded acceptor
+//!   ([`crate::accept`]), so a stalled or malicious client can never
+//!   park it — requests are served on short-lived per-connection threads
+//!   capped at [`OpsServerConfig::max_connections`], connections over
+//!   the cap are closed unserved, and a connection whose deadlines
+//!   cannot be armed is refused;
 //! - every connection gets read/write deadlines and a hard request-size
 //!   cap, so torn reads and oversized headers resolve to 400 within
 //!   [`OpsServerConfig::read_deadline`] instead of leaking threads;
@@ -26,15 +27,11 @@
 //! `dapctl scrape`, and the CI smoke so nothing outside the repo
 //! (curl, python) is needed to scrape the plane.
 
+use crate::accept::{self, Acceptor, Conn, Limits};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Poll interval of the non-blocking accept loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// One response from an [`OpsRouter`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,13 +115,6 @@ pub struct OpsServer {
     config: OpsServerConfig,
 }
 
-/// Handle to a running [`OpsServer`].
-pub struct OpsHandle {
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    addr: SocketAddr,
-}
-
 impl OpsServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) with the
     /// default limits.
@@ -141,95 +131,27 @@ impl OpsServer {
         self
     }
 
-    /// The bound address (reports the ephemeral port after `:0` binds).
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Starts serving `router` on a background acceptor thread.
-    pub fn spawn(self, router: OpsRouter) -> std::io::Result<OpsHandle> {
-        let addr = self.listener.local_addr()?;
-        self.listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_accept = Arc::clone(&stop);
-        let acceptor = std::thread::Builder::new()
-            .name("ops-accept".to_string())
-            .spawn(move || accept_loop(self.listener, self.config, router, stop_accept))?;
-        Ok(OpsHandle {
-            stop,
-            acceptor: Some(acceptor),
-            addr,
-        })
+    /// Starts serving `router` on a background [`Acceptor`];
+    /// [`Acceptor::addr`] reports the bound address (the ephemeral port
+    /// after a `:0` bind).
+    pub fn spawn(self, router: OpsRouter) -> std::io::Result<Acceptor> {
+        let config = self.config;
+        let limits = Limits {
+            max_connections: config.max_connections,
+            read_deadline: config.read_deadline,
+            write_deadline: config.read_deadline,
+        };
+        accept::spawn(
+            Box::new(self.listener),
+            limits,
+            move |stream, _| serve_connection(stream, &config, &router),
+            drop, // over cap: close unserved, the scraper retries
+            || {},
+        )
     }
 }
 
-impl OpsHandle {
-    /// The address the endpoint is serving on.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Asks the acceptor to stop after its current poll.
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-    }
-
-    /// Stops the acceptor and waits for it (worker threads are joined by
-    /// the acceptor on its way out).
-    pub fn join(mut self) {
-        self.request_stop();
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for OpsHandle {
-    fn drop(&mut self) {
-        self.request_stop();
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    config: OpsServerConfig,
-    router: OpsRouter,
-    stop: Arc<AtomicBool>,
-) {
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        workers.retain(|w| !w.is_finished());
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if workers.len() >= config.max_connections {
-                    drop(stream); // over cap: close unserved, scraper retries
-                    continue;
-                }
-                let router = Arc::clone(&router);
-                let config = config.clone();
-                if let Ok(worker) = std::thread::Builder::new()
-                    .name("ops-conn".to_string())
-                    .spawn(move || serve_connection(stream, &config, &router))
-                {
-                    workers.push(worker);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-    for worker in workers {
-        let _ = worker.join();
-    }
-}
-
-fn serve_connection(mut stream: TcpStream, config: &OpsServerConfig, router: &OpsRouter) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(config.read_deadline));
-    let _ = stream.set_write_timeout(Some(config.read_deadline));
+fn serve_connection(mut stream: Box<dyn Conn>, config: &OpsServerConfig, router: &OpsRouter) {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 1024];
     // Read until end of headers, the size cap, the deadline, or EOF —
@@ -244,11 +166,8 @@ fn serve_connection(mut stream: TcpStream, config: &OpsServerConfig, router: &Op
         match stream.read(&mut chunk) {
             Ok(0) => break false, // torn: EOF before end of headers
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                break false
-            }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => break false,
+            Err(_) => break false, // the deadline fired, or the peer reset
         }
     };
     let response = if complete {
@@ -396,13 +315,38 @@ mod tests {
             .unwrap()
             .spawn(test_router())
             .unwrap();
-        let addr = handle.addr().to_string();
+        let addr = handle.addr().unwrap().to_string();
         let (status, body) = http_get(&addr, "/healthz", Duration::from_secs(2)).unwrap();
         assert_eq!((status, body.as_str()), (200, "ok\n"));
         let (status, body) = http_get(&addr, "/varz", Duration::from_secs(2)).unwrap();
         assert_eq!((status, body.as_str()), (200, "{\"x\":1}"));
         let (status, _) = http_get(&addr, "/missing", Duration::from_secs(2)).unwrap();
         assert_eq!(status, 404);
-        handle.join();
+        drop(handle);
+    }
+
+    #[test]
+    fn over_cap_connection_is_closed_unserved() {
+        let handle = OpsServer::bind("127.0.0.1:0")
+            .unwrap()
+            .with_config(OpsServerConfig {
+                read_deadline: Duration::from_secs(5),
+                max_connections: 1,
+                ..OpsServerConfig::default()
+            })
+            .spawn(test_router())
+            .unwrap();
+        let addr = handle.addr().unwrap();
+        // The accept queue is FIFO: the silent staller takes the one
+        // worker slot, and holds it until its read deadline.
+        let staller = TcpStream::connect(addr).unwrap();
+        let mut extra = TcpStream::connect(addr).unwrap();
+        extra
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reply = Vec::new();
+        assert_eq!(extra.read_to_end(&mut reply).unwrap(), 0, "{reply:?}");
+        drop(staller);
+        drop(handle);
     }
 }

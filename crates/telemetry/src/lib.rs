@@ -28,6 +28,8 @@
 //! * [`http`] — a minimal hand-rolled HTTP/1.1 ops responder
 //!   ([`OpsServer`](http::OpsServer)) and one-shot client for the
 //!   `/metrics`, `/healthz`, `/varz`, and `/debug/flight` endpoints.
+//! * [`accept`] — the one bounded acceptor under both the ops responder
+//!   and `dapd`.
 //! * [`json`] — the minimal in-tree JSON reader/writer the exporters use.
 //!
 //! ## The `telemetry-off` feature
@@ -48,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod accept;
 pub mod export;
 pub mod exposition;
 pub mod flight;

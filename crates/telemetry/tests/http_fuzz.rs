@@ -155,7 +155,7 @@ fn socket_survives_torn_oversized_and_pipelined_abuse() {
         })
         .spawn(test_router())
         .unwrap();
-    let addr = handle.addr();
+    let addr = handle.addr().expect("tcp");
     let mut rng = SplitMix64(SEED ^ 1);
 
     for case in 0..48u32 {
@@ -202,7 +202,7 @@ fn socket_survives_torn_oversized_and_pipelined_abuse() {
     // The endpoint still serves after all that.
     let (status, body) = http_get(&addr.to_string(), "/healthz", Duration::from_secs(2)).unwrap();
     assert_eq!((status, body.as_str()), (200, "ok\n"));
-    handle.join();
+    drop(handle);
 }
 
 #[test]
@@ -216,7 +216,7 @@ fn silent_staller_never_blocks_the_accept_loop() {
         })
         .spawn(test_router())
         .unwrap();
-    let addr = handle.addr();
+    let addr = handle.addr().expect("tcp");
 
     // Open connections that never send a byte, holding them across the
     // probe. They occupy worker threads but must not park the acceptor.
@@ -232,5 +232,5 @@ fn silent_staller_never_blocks_the_accept_loop() {
     );
 
     drop(stallers);
-    handle.join();
+    drop(handle);
 }
