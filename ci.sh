@@ -79,9 +79,18 @@ done
 unset DAP_INSTRUCTIONS DAP_THREADS
 
 # Benchmark smoke: dapbench runs every workload briefly and exits 0 only
-# when every correctness and bit-identity check holds.
-echo "== dapbench smoke (1 s per workload)"
-./target/release/dapbench --seconds 1 >/dev/null
+# when every correctness and bit-identity check holds. Its passes agreeing
+# with each other says nothing about agreeing with the previous commit, so
+# the seed-0 digest it prints per workload ("== <workload>: ... digest
+# <hex>") must also match the checked-in golden.
+echo "== dapbench smoke (1 s per workload) + seed-0 digest golden"
+bench_out=$(./target/release/dapbench --seconds 1)
+digest_golden=crates/bench/golden/dapbench-seed0.digests
+diff <(grep -v '^#' "$digest_golden" | sort) \
+    <(echo "$bench_out" | sed -n 's/^== \([^:]*\): .* digest \([0-9a-f]*\)$/\1 \2/p' | sort) || {
+    echo "ci: dapbench digests differ from $digest_golden (< golden, > this build)" >&2
+    exit 1
+}
 
 # dapd smoke: start the daemon on a temp Unix socket, drive 10k requests
 # through it with a mid-run throttle, and require a clean shutdown plus

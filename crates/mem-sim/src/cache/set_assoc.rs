@@ -7,16 +7,38 @@
 //!
 //! # Layout
 //!
-//! Line state is kept in struct-of-arrays form: tags and LRU stamps in flat
-//! parallel arrays indexed `set * ways + way`, and the single-bit metadata
-//! (valid, dirty, NRU reference) as one 64-bit way-mask per set. A probe
-//! therefore touches one mask word plus the tag lane — two cache lines for
-//! a 16-way set instead of the eight an array-of-structs layout costs — and
-//! the dirty/NRU state is read and updated with single bit operations. This
-//! is the layout the simulator's hot loops (L1/L2/L3 probes, sector
-//! directory, SRAM tag cache, Alloy DBC) scan millions of times per second.
+//! Each line is one `u64` word: its tag above a valid bit and a dirty bit.
+//! A set's words are contiguous (`set * ways + way`), so a probe reads one
+//! run of `ways` words — a single host cache line for up to eight ways —
+//! and a hit's dirty bit arrives with its tag. Payloads live in a parallel
+//! array that is read only when a caller asks for a payload. Replacement
+//! state is kept per set, and only where victim selection reads it:
+//!
+//! * LRU keeps one `u8` recency rank per way (0 = most recently touched),
+//!   and the victim is the way ranked `ways - 1`;
+//! * NRU keeps one 64-bit reference mask per set;
+//! * a one-way set has no choice of victim and keeps no state at all.
+//!
+//! The simulator's hot loops (L1/L2/L3 probes, the sector directories, the
+//! SRAM tag cache, the Alloy directory and DBC) probe these millions of
+//! times per second. The large directories miss in the host's caches, so
+//! the number of host cache lines a probe touches sets their speed.
 
 use super::replacement::ReplacementKind;
+
+/// Line-word flag: the line holds a key.
+const VALID: u64 = 1;
+/// Line-word flag: the line is dirty.
+const DIRTY: u64 = 2;
+/// The tag sits above the two flag bits.
+const TAG_SHIFT: u32 = 2;
+/// The largest tag a line word can hold.
+const MAX_TAG: u64 = u64::MAX >> TAG_SHIFT;
+
+/// Mask with one bit per way of a `ways`-way set (`1..=64` ways).
+fn way_mask(ways: usize) -> u64 {
+    u64::MAX >> (64 - ways)
+}
 
 /// Elements per 4 KB page (at least 1, for oversized `T`).
 fn page_stride<T>() -> usize {
@@ -52,6 +74,20 @@ pub struct Eviction<P> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot(usize);
 
+/// Per-set replacement state, kept only where victim selection reads it.
+#[derive(Debug, Clone)]
+enum Replacement {
+    /// One way per set: that way is always the victim, under either
+    /// policy, so nothing is tracked.
+    Direct,
+    /// Recency rank of each line (`set * ways + way`): 0 for the most
+    /// recently touched way, `ways - 1` for the least. Each set's ranks
+    /// are a permutation of `0..ways`.
+    Lru(Vec<u8>),
+    /// NRU reference bits, one 64-bit way mask per set.
+    Nru(Vec<u64>),
+}
+
 /// A set-associative cache directory with LRU or NRU replacement.
 ///
 /// ```
@@ -67,21 +103,12 @@ pub struct SetAssocCache<P> {
     /// set/tag extraction becomes mask+shift instead of two divisions.
     set_shift: Option<u32>,
     ways: usize,
-    /// Tag of each line (`set * ways + way`); meaningful only where the
-    /// set's valid mask has the way's bit.
-    tags: Vec<u64>,
-    /// LRU stamp of each line (global tick at last touch).
-    last_use: Vec<u64>,
+    /// One word per line (`set * ways + way`):
+    /// `tag << TAG_SHIFT | DIRTY | VALID`, zero when invalid.
+    lines: Vec<u64>,
     /// Payload of each line.
     payloads: Vec<P>,
-    /// Per-set way masks: bit `w` set means way `w` holds a valid line.
-    valid: Vec<u64>,
-    /// Per-set way masks: bit `w` set means way `w` is dirty.
-    dirty: Vec<u64>,
-    /// Per-set way masks: NRU reference bits.
-    nru: Vec<u64>,
-    policy: ReplacementKind,
-    tick: u64,
+    replacement: Replacement,
     hits: u64,
     misses: u64,
 }
@@ -91,24 +118,31 @@ impl<P: Default + Clone> SetAssocCache<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero, or `ways` exceeds 64 (way
-    /// metadata is tracked in 64-bit masks).
+    /// Panics if `sets` or `ways` is zero, or `ways` exceeds 64 (NRU
+    /// reference bits are tracked in 64-bit masks).
     pub fn new(sets: u64, ways: usize, policy: ReplacementKind) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have at least one line");
-        assert!(ways <= 64, "way metadata is tracked in 64-bit masks");
+        assert!(
+            ways <= 64,
+            "at most 64 ways: NRU reference bits are 64-bit masks"
+        );
         let lines = (sets as usize) * ways;
+        let replacement = match policy {
+            _ if ways == 1 => Replacement::Direct,
+            // Every set starts ranked in way order. Writing every rank
+            // faults its pages in, as `prefault` does below.
+            ReplacementKind::Lru => {
+                Replacement::Lru((0..ways as u8).collect::<Vec<_>>().repeat(sets as usize))
+            }
+            ReplacementKind::Nru => Replacement::Nru(vec![0; sets as usize]),
+        };
         let mut cache = Self {
             sets,
             set_shift: sets.is_power_of_two().then(|| sets.trailing_zeros()),
             ways,
-            tags: vec![0; lines],
-            last_use: vec![0; lines],
+            lines: vec![0; lines],
             payloads: vec![P::default(); lines],
-            valid: vec![0; sets as usize],
-            dirty: vec![0; sets as usize],
-            nru: vec![0; sets as usize],
-            policy,
-            tick: 0,
+            replacement,
             hits: 0,
             misses: 0,
         };
@@ -118,13 +152,14 @@ impl<P: Default + Clone> SetAssocCache<P> {
         // the measured hot loop, where they show up as multi-millisecond
         // warmup noise in short benchmark cells. Touch one element per
         // page now, at construction, where setup cost belongs.
-        prefault(&mut cache.tags);
-        prefault(&mut cache.last_use);
+        prefault(&mut cache.lines);
         for i in (0..cache.payloads.len()).step_by(page_stride::<P>()) {
             let line = std::mem::take(&mut cache.payloads[i]);
             cache.payloads[i] = std::hint::black_box(line);
         }
-        prefault(&mut cache.valid);
+        if let Replacement::Nru(refs) = &mut cache.replacement {
+            prefault(refs);
+        }
         cache
     }
 
@@ -143,16 +178,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
         (self.hits, self.misses)
     }
 
-    /// Mask with one bit per way.
-    #[inline]
-    fn ways_mask(&self) -> u64 {
-        if self.ways == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.ways) - 1
-        }
-    }
-
     #[inline]
     fn split(&self, key: u64) -> (usize, u64) {
         match self.set_shift {
@@ -161,44 +186,86 @@ impl<P: Default + Clone> SetAssocCache<P> {
         }
     }
 
-    /// Reconstructs the key of the line at `idx`.
+    /// Reconstructs the key of a valid line word in `set`.
     #[inline]
-    fn key_of(&self, idx: usize) -> u64 {
-        self.tags[idx] * self.sets + (idx / self.ways) as u64
+    fn key_of(&self, word: u64, set: usize) -> u64 {
+        (word >> TAG_SHIFT) * self.sets + set as u64
     }
 
-    /// Finds `key`'s line index, scanning only valid ways in way order.
+    /// The line words of `set`.
     #[inline]
-    fn find(&self, key: u64) -> Option<usize> {
+    fn set_lines(&self, set: usize) -> &[u64] {
+        &self.lines[set * self.ways..(set + 1) * self.ways]
+    }
+
+    /// Finds `key`'s line as `(set, way)`.
+    #[inline]
+    fn find(&self, key: u64) -> Option<(usize, usize)> {
         let (set, tag) = self.split(key);
-        let base = set * self.ways;
-        let mut mask = self.valid[set];
-        while mask != 0 {
-            let way = mask.trailing_zeros() as usize;
-            if self.tags[base + way] == tag {
-                return Some(base + way);
-            }
-            mask &= mask - 1;
+        if tag > MAX_TAG {
+            // Too wide to have been inserted; shifting it would alias.
+            return None;
         }
-        None
+        let want = tag << TAG_SHIFT | VALID;
+        self.set_lines(set)
+            .iter()
+            .position(|&w| w & !DIRTY == want)
+            .map(|way| (set, way))
     }
 
-    /// Touches `idx` for replacement: bumps the global tick, stamps the
-    /// line, and updates NRU reference bits exactly as the paper's
-    /// single-bit scheme requires (when every valid line is referenced,
-    /// all bits except the touched line's clear).
+    /// Updates replacement state for a touch of `way` in `set`. LRU moves
+    /// the way to rank 0. NRU sets the way's reference bit, and when every
+    /// valid line is referenced clears all bits but the touched line's,
+    /// as the paper's single-bit scheme requires.
     #[inline]
-    fn touch(&mut self, idx: usize) {
-        self.tick += 1;
-        self.last_use[idx] = self.tick;
-        let set = idx / self.ways;
-        let bit = 1u64 << (idx % self.ways);
-        self.nru[set] |= bit;
-        if self.policy == ReplacementKind::Nru {
-            let wm = self.ways_mask();
-            // Every way is either invalid or referenced: clear the others.
-            if (self.nru[set] | !self.valid[set]) & wm == wm {
-                self.nru[set] = bit;
+    fn touch(&mut self, set: usize, way: usize) {
+        let ways = self.ways;
+        match &mut self.replacement {
+            Replacement::Direct => {}
+            Replacement::Lru(ranks) => {
+                let ranks = &mut ranks[set * ways..(set + 1) * ways];
+                let r = ranks[way];
+                for rank in ranks.iter_mut() {
+                    *rank += u8::from(*rank < r);
+                }
+                ranks[way] = 0;
+            }
+            Replacement::Nru(refs) => {
+                let bit = 1u64 << way;
+                let referenced = refs[set] | bit;
+                let lines = &self.lines[set * ways..(set + 1) * ways];
+                // Every way is either invalid or referenced: clear the
+                // others. Only the unreferenced ways need their valid
+                // bit read.
+                let mut unref = !referenced & way_mask(ways);
+                let mut all_referenced = true;
+                while unref != 0 {
+                    if lines[unref.trailing_zeros() as usize] & VALID != 0 {
+                        all_referenced = false;
+                        break;
+                    }
+                    unref &= unref - 1;
+                }
+                refs[set] = if all_referenced { bit } else { referenced };
+            }
+        }
+    }
+
+    /// The way to evict from a full `set`.
+    fn pick_victim(&self, set: usize) -> usize {
+        match &self.replacement {
+            Replacement::Direct => 0,
+            Replacement::Lru(ranks) => ranks[set * self.ways..(set + 1) * self.ways]
+                .iter()
+                .position(|&r| usize::from(r) == self.ways - 1)
+                .expect("a set's LRU ranks are a permutation of its ways"),
+            Replacement::Nru(refs) => {
+                let unref = !refs[set] & way_mask(self.ways);
+                if unref != 0 {
+                    unref.trailing_zeros() as usize
+                } else {
+                    0
+                }
             }
         }
     }
@@ -212,10 +279,10 @@ impl<P: Default + Clone> SetAssocCache<P> {
     /// metadata updates skip a second tag scan.
     pub fn lookup_slot(&mut self, key: u64) -> Option<Slot> {
         match self.find(key) {
-            Some(i) => {
+            Some((set, way)) => {
                 self.hits += 1;
-                self.touch(i);
-                Some(Slot(i))
+                self.touch(set, way);
+                Some(Slot(set * self.ways + way))
             }
             None => {
                 self.misses += 1;
@@ -226,17 +293,8 @@ impl<P: Default + Clone> SetAssocCache<P> {
 
     /// Probes for `key` and returns mutable access to its payload on a hit.
     pub fn lookup_payload(&mut self, key: u64) -> Option<&mut P> {
-        match self.find(key) {
-            Some(i) => {
-                self.hits += 1;
-                self.touch(i);
-                Some(&mut self.payloads[i])
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let slot = self.lookup_slot(key)?;
+        Some(&mut self.payloads[slot.0])
     }
 
     /// Checks presence without perturbing replacement state or counters.
@@ -247,92 +305,87 @@ impl<P: Default + Clone> SetAssocCache<P> {
     /// Returns the hit line's [`Slot`] without perturbing replacement
     /// state or counters.
     pub fn peek_slot(&self, key: u64) -> Option<Slot> {
-        self.find(key).map(Slot)
+        self.find(key).map(|(set, way)| Slot(set * self.ways + way))
     }
 
     /// Returns the payload without perturbing replacement state.
     pub fn peek(&self, key: u64) -> Option<&P> {
-        self.find(key).map(|i| &self.payloads[i])
+        self.peek_slot(key).map(|slot| &self.payloads[slot.0])
     }
 
     /// Returns the payload mutably without perturbing replacement state.
     pub fn peek_mut(&mut self, key: u64) -> Option<&mut P> {
-        self.find(key).map(|i| &mut self.payloads[i])
+        self.peek_slot(key).map(|slot| &mut self.payloads[slot.0])
     }
 
     /// Whether the line holding `key` is dirty.
     pub fn is_dirty(&self, key: u64) -> bool {
-        match self.find(key) {
-            Some(i) => self.dirty[i / self.ways] >> (i % self.ways) & 1 == 1,
-            None => false,
-        }
+        self.peek_slot(key)
+            .is_some_and(|slot| self.slot_is_dirty(slot))
     }
 
     /// Marks the line holding `key` dirty; returns `false` if absent.
     pub fn mark_dirty(&mut self, key: u64) -> bool {
-        if let Some(i) = self.find(key) {
-            self.dirty[i / self.ways] |= 1 << (i % self.ways);
-            true
-        } else {
-            false
+        match self.peek_slot(key) {
+            Some(slot) => {
+                self.mark_dirty_slot(slot);
+                true
+            }
+            None => false,
         }
+    }
+
+    /// Debug check that `slot` still names a valid line.
+    #[inline]
+    fn debug_assert_live(&self, slot: Slot) {
+        debug_assert!(self.lines[slot.0] & VALID != 0, "stale slot");
     }
 
     /// Reads the payload of a line found earlier (via a slot-returning
     /// probe) without a second tag scan.
     pub fn slot_payload(&self, slot: Slot) -> &P {
-        debug_assert!(
-            self.valid[slot.0 / self.ways] >> (slot.0 % self.ways) & 1 == 1,
-            "stale slot"
-        );
+        self.debug_assert_live(slot);
         &self.payloads[slot.0]
     }
 
     /// Mutable access to the payload of a line found earlier.
     pub fn slot_payload_mut(&mut self, slot: Slot) -> &mut P {
-        debug_assert!(
-            self.valid[slot.0 / self.ways] >> (slot.0 % self.ways) & 1 == 1,
-            "stale slot"
-        );
+        self.debug_assert_live(slot);
         &mut self.payloads[slot.0]
     }
 
     /// Whether the line at `slot` is dirty.
     pub fn slot_is_dirty(&self, slot: Slot) -> bool {
-        self.dirty[slot.0 / self.ways] >> (slot.0 % self.ways) & 1 == 1
+        self.lines[slot.0] & DIRTY != 0
     }
 
     /// Marks a line found earlier (via a slot-returning probe) dirty.
     pub fn mark_dirty_slot(&mut self, slot: Slot) {
-        debug_assert!(
-            self.valid[slot.0 / self.ways] >> (slot.0 % self.ways) & 1 == 1,
-            "stale slot"
-        );
-        self.dirty[slot.0 / self.ways] |= 1 << (slot.0 % self.ways);
+        self.debug_assert_live(slot);
+        self.lines[slot.0] |= DIRTY;
     }
 
     /// Clears the dirty bit of a line found earlier.
     pub fn clear_dirty_slot(&mut self, slot: Slot) {
-        debug_assert!(
-            self.valid[slot.0 / self.ways] >> (slot.0 % self.ways) & 1 == 1,
-            "stale slot"
-        );
-        self.dirty[slot.0 / self.ways] &= !(1 << (slot.0 % self.ways));
+        self.debug_assert_live(slot);
+        self.lines[slot.0] &= !DIRTY;
     }
 
     /// Updates replacement state for a line found earlier, exactly as a
     /// `lookup` hit on it would (without the hit/miss counting).
     pub fn touch_slot(&mut self, slot: Slot) {
-        debug_assert!(
-            self.valid[slot.0 / self.ways] >> (slot.0 % self.ways) & 1 == 1,
-            "stale slot"
-        );
-        self.touch(slot.0);
+        self.debug_assert_live(slot);
+        self.touch(slot.0 / self.ways, slot.0 % self.ways);
     }
 
     /// Inserts `key`, evicting a victim if the set is full. If `key` is
     /// already present its payload and dirty bit are replaced (dirty is
     /// OR-ed) and no eviction occurs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key / sets` does not fit a line word beside its flag
+    /// bits (2^62 or more).
     pub fn insert(&mut self, key: u64, payload: P, dirty: bool) -> Option<Eviction<P>> {
         self.insert_slot(key, payload, dirty).0
     }
@@ -346,13 +399,14 @@ impl<P: Default + Clone> SetAssocCache<P> {
         payload: P,
         dirty: bool,
     ) -> (Option<Eviction<P>>, Slot) {
-        if let Some(i) = self.find(key) {
-            self.payloads[i] = payload;
+        if let Some((set, way)) = self.find(key) {
+            let idx = set * self.ways + way;
+            self.payloads[idx] = payload;
             if dirty {
-                self.dirty[i / self.ways] |= 1 << (i % self.ways);
+                self.lines[idx] |= DIRTY;
             }
-            self.touch(i);
-            return (None, Slot(i));
+            self.touch(set, way);
+            return (None, Slot(idx));
         }
         self.insert_absent_slot(key, payload, dirty)
     }
@@ -376,76 +430,42 @@ impl<P: Default + Clone> SetAssocCache<P> {
     ) -> (Option<Eviction<P>>, Slot) {
         debug_assert!(self.find(key).is_none(), "insert_absent on resident key");
         let (set, tag) = self.split(key);
-        let base = set * self.ways;
-        let free = !self.valid[set] & self.ways_mask();
-        // Prefer an invalid way.
-        let victim = if free != 0 {
-            base + free.trailing_zeros() as usize
-        } else {
-            self.pick_victim(base)
+        assert!(
+            tag <= MAX_TAG,
+            "key {key:#x} has a tag too wide for a line word"
+        );
+        // Prefer the lowest invalid way.
+        let way = match self.set_lines(set).iter().position(|&w| w & VALID == 0) {
+            Some(free) => free,
+            None => self.pick_victim(set),
         };
-        let vbit = 1u64 << (victim % self.ways);
-        let evicted = if self.valid[set] & vbit != 0 {
+        let idx = set * self.ways + way;
+        let old = self.lines[idx];
+        let evicted = if old & VALID != 0 {
             Some(Eviction {
-                key: self.key_of(victim),
-                dirty: self.dirty[set] & vbit != 0,
-                payload: std::mem::take(&mut self.payloads[victim]),
+                key: self.key_of(old, set),
+                dirty: old & DIRTY != 0,
+                payload: std::mem::take(&mut self.payloads[idx]),
             })
         } else {
             None
         };
-        self.tags[victim] = tag;
-        self.valid[set] |= vbit;
-        if dirty {
-            self.dirty[set] |= vbit;
-        } else {
-            self.dirty[set] &= !vbit;
-        }
-        self.nru[set] &= !vbit;
-        self.payloads[victim] = payload;
-        self.touch(victim);
-        (evicted, Slot(victim))
-    }
-
-    fn pick_victim(&self, base: usize) -> usize {
-        let set = base / self.ways;
-        match self.policy {
-            // invariant: construction rejects zero ways, so every set has
-            // at least one line to choose from; ties keep the lowest way.
-            ReplacementKind::Lru => {
-                let mut best = base;
-                for i in base + 1..base + self.ways {
-                    if self.last_use[i] < self.last_use[best] {
-                        best = i;
-                    }
-                }
-                best
-            }
-            ReplacementKind::Nru => {
-                let unref = !self.nru[set] & self.ways_mask();
-                if unref != 0 {
-                    base + unref.trailing_zeros() as usize
-                } else {
-                    base
-                }
-            }
-        }
+        self.lines[idx] = tag << TAG_SHIFT | if dirty { DIRTY } else { 0 } | VALID;
+        self.payloads[idx] = payload;
+        self.touch(set, way);
+        (evicted, Slot(idx))
     }
 
     /// Invalidates `key`; returns the evicted line if it was present.
-    /// (LRU stamps and NRU bits are left stale, exactly as a real
-    /// directory's replacement state would be.)
+    /// (Replacement state is left stale, exactly as a real directory's
+    /// would be.)
     pub fn invalidate(&mut self, key: u64) -> Option<Eviction<P>> {
-        let i = self.find(key)?;
-        let set = i / self.ways;
-        let bit = 1u64 << (i % self.ways);
-        self.valid[set] &= !bit;
-        let dirty = self.dirty[set] & bit != 0;
-        self.dirty[set] &= !bit;
+        let slot = self.peek_slot(key)?;
+        let word = std::mem::take(&mut self.lines[slot.0]);
         Some(Eviction {
             key,
-            dirty,
-            payload: std::mem::take(&mut self.payloads[i]),
+            dirty: word & DIRTY != 0,
+            payload: std::mem::take(&mut self.payloads[slot.0]),
         })
     }
 
@@ -454,21 +474,17 @@ impl<P: Default + Clone> SetAssocCache<P> {
     pub fn invalidate_set(&mut self, set_index: u64) -> Vec<Eviction<P>> {
         assert!(set_index < self.sets, "set index out of range");
         let set = set_index as usize;
-        let base = set * self.ways;
         let mut out = Vec::new();
-        let mut mask = self.valid[set];
-        while mask != 0 {
-            let way = mask.trailing_zeros() as usize;
-            let bit = 1u64 << way;
-            out.push(Eviction {
-                key: self.key_of(base + way),
-                dirty: self.dirty[set] & bit != 0,
-                payload: std::mem::take(&mut self.payloads[base + way]),
-            });
-            mask &= mask - 1;
+        for idx in set * self.ways..(set + 1) * self.ways {
+            let word = std::mem::take(&mut self.lines[idx]);
+            if word & VALID != 0 {
+                out.push(Eviction {
+                    key: self.key_of(word, set),
+                    dirty: word & DIRTY != 0,
+                    payload: std::mem::take(&mut self.payloads[idx]),
+                });
+            }
         }
-        self.valid[set] = 0;
-        self.dirty[set] = 0;
         out
     }
 
@@ -477,23 +493,17 @@ impl<P: Default + Clone> SetAssocCache<P> {
     pub fn peek_set(&self, key: u64) -> Vec<(u64, bool, &P)> {
         let (set, _) = self.split(key);
         let base = set * self.ways;
-        let mut out = Vec::new();
-        let mut mask = self.valid[set];
-        while mask != 0 {
-            let way = mask.trailing_zeros() as usize;
-            out.push((
-                self.key_of(base + way),
-                self.dirty[set] >> way & 1 == 1,
-                &self.payloads[base + way],
-            ));
-            mask &= mask - 1;
-        }
-        out
+        self.set_lines(set)
+            .iter()
+            .zip(&self.payloads[base..base + self.ways])
+            .filter(|(&w, _)| w & VALID != 0)
+            .map(|(&w, p)| (self.key_of(w, set), w & DIRTY != 0, p))
+            .collect()
     }
 
     /// Number of valid lines (diagnostics).
     pub fn occupancy(&self) -> usize {
-        self.valid.iter().map(|m| m.count_ones() as usize).sum()
+        self.lines.iter().filter(|&&w| w & VALID != 0).count()
     }
 }
 
@@ -667,5 +677,24 @@ mod tests {
     #[should_panic(expected = "64-bit masks")]
     fn more_than_sixty_four_ways_is_rejected() {
         let _: SetAssocCache<()> = SetAssocCache::new(1, 65, ReplacementKind::Lru);
+    }
+
+    #[test]
+    #[should_panic(expected = "too wide")]
+    fn key_too_wide_for_a_line_word_panics_at_insert() {
+        let mut c = cache(1, 2, ReplacementKind::Lru);
+        c.insert(1 << 62, 0, false);
+    }
+
+    #[test]
+    fn oversized_key_never_aliases_a_resident_line() {
+        let mut c = cache(1, 2, ReplacementKind::Nru);
+        c.insert(1, 7, true);
+        // Shifted into a line word, this key's tag would wrap onto key 1's.
+        let wide = 1 << 62 | 1;
+        assert!(!c.contains(wide));
+        assert!(!c.lookup(wide));
+        assert!(c.invalidate(wide).is_none());
+        assert_eq!(c.peek(1), Some(&7));
     }
 }

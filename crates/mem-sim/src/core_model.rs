@@ -85,7 +85,10 @@ impl CoreModel {
         let ready = issue + latency_cycles.max(1) * self.width;
         let retire = ready.max(self.last_retire_slot + 1);
         self.ring[self.pos] = retire;
-        self.pos = (self.pos + 1) % self.ring.len();
+        self.pos += 1;
+        if self.pos == self.ring.len() {
+            self.pos = 0;
+        }
         self.last_issue_slot = issue;
         self.last_retire_slot = retire;
         self.retired += 1;

@@ -63,6 +63,8 @@ pub struct DramModule {
     /// Per-channel outage windows `[start, end)`, kept for degraded-
     /// interleave routing; empty when no outage is scheduled.
     outages: Vec<Vec<(Cycle, Cycle)>>,
+    /// Bus cycles of an Alloy TAD read, resolved once at construction.
+    tad_burst: Cycle,
 }
 
 impl DramModule {
@@ -85,6 +87,7 @@ impl DramModule {
                     )
                 });
         Self {
+            tad_burst: config.resolve_burst_tad(),
             config,
             channels,
             row_blocks,
@@ -190,7 +193,7 @@ impl DramModule {
     /// Reads an Alloy-cache TAD (72 bytes = 1.5x the burst of a block).
     pub fn read_tad(&mut self, block: u64, now: Cycle) -> Cycle {
         let (ch, bank, row) = self.map(block);
-        let burst = self.config.resolve_burst_tad();
+        let burst = self.tad_burst;
         match self.route(ch, now) {
             Route::Live(ch) => self.channels[ch].read(bank, row, now, Some(burst)),
             Route::Resumes(ch, at) => self.channels[ch].read(bank, row, at, Some(burst)),

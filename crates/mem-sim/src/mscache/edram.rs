@@ -6,20 +6,12 @@
 //! fills and demand writes ride the write channels — so read-miss fills do
 //! not steal read bandwidth. Sector size is 1 KB, associativity 16.
 
+use super::sector_dir::SectorDirectory;
 use super::sectored::BlockState;
-use crate::cache::{Eviction, ReplacementKind, SetAssocCache};
 use crate::clock::Cycle;
 use crate::dram::{DramConfig, DramModule};
 use crate::prefetch::FootprintPredictor;
 use crate::BLOCK_BYTES;
-
-/// Per-sector payload (same encoding as the DRAM-cache sectors).
-#[derive(Debug, Clone, Copy, Default)]
-struct Sector {
-    valid: u64,
-    dirty: u64,
-    used: u64,
-}
 
 /// Result of allocating a sector.
 #[derive(Debug, Clone, Default)]
@@ -34,7 +26,7 @@ pub struct EdramAllocation {
 /// The sectored eDRAM cache.
 #[derive(Debug, Clone)]
 pub struct EdramCache {
-    dir: SetAssocCache<Sector>,
+    dir: SectorDirectory,
     read_path: DramModule,
     write_path: DramModule,
     footprint: FootprintPredictor,
@@ -85,7 +77,7 @@ impl EdramCache {
             "capacity too small for the given sector size and ways"
         );
         Self {
-            dir: SetAssocCache::new(sets, ways, ReplacementKind::Nru),
+            dir: SectorDirectory::new(sets, ways),
             read_path: DramModule::new(direction.clone(), cpu_mhz),
             write_path: DramModule::new(direction, cpu_mhz),
             footprint: FootprintPredictor::new(64 * 1024, blocks_per_sector),
@@ -153,28 +145,19 @@ impl EdramCache {
     /// Presence state of a block (known after the on-die tag lookup).
     pub fn state(&self, block: u64) -> BlockState {
         let (sector, off) = self.sector_of(block);
-        match self.dir.peek(sector) {
-            Some(s) if s.valid >> off & 1 == 1 => {
-                if s.dirty >> off & 1 == 1 {
-                    BlockState::DirtyHit
-                } else {
-                    BlockState::CleanHit
-                }
-            }
-            _ => BlockState::Miss,
-        }
+        self.dir.state(sector, off)
     }
 
     /// Touches the directory for replacement (call once per demand access).
     pub fn touch(&mut self, block: u64) {
         let (sector, _) = self.sector_of(block);
-        let _ = self.dir.lookup(sector);
+        self.dir.touch(sector);
     }
 
     /// Reads a resident block via the read channels.
     pub fn read_data(&mut self, block: u64, now: Cycle) -> Cycle {
         let (sector, off) = self.sector_of(block);
-        if let Some(s) = self.dir.peek_mut(sector) {
+        if let Some(s) = self.dir.sector_mut(sector) {
             s.used |= 1 << off;
         }
         self.read_path.read_block(block, now + self.tag_latency)
@@ -184,7 +167,7 @@ impl EdramCache {
     /// resident sector. Returns false if the sector is absent.
     pub fn write_data(&mut self, block: u64, now: Cycle, dirty: bool) -> bool {
         let (sector, off) = self.sector_of(block);
-        let Some(s) = self.dir.peek_mut(sector) else {
+        let Some(s) = self.dir.sector_mut(sector) else {
             return false;
         };
         s.valid |= 1 << off;
@@ -199,7 +182,7 @@ impl EdramCache {
     /// Invalidates one block (write bypass).
     pub fn invalidate_block(&mut self, block: u64) {
         let (sector, off) = self.sector_of(block);
-        if let Some(s) = self.dir.peek_mut(sector) {
+        if let Some(s) = self.dir.sector_mut(sector) {
             s.valid &= !(1 << off);
             s.dirty &= !(1 << off);
         }
@@ -210,7 +193,7 @@ impl EdramCache {
     pub fn allocate(&mut self, block: u64, _now: Cycle) -> EdramAllocation {
         let (sector, off) = self.sector_of(block);
         let predicted = self.footprint.predict(sector, off);
-        let ev: Option<Eviction<Sector>> = self.dir.insert(sector, Sector::default(), false);
+        let ev = self.dir.insert(sector);
         let mut out = EdramAllocation::default();
         if let Some(ev) = ev {
             self.footprint.record(ev.key, ev.payload.used);

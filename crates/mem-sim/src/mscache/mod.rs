@@ -20,6 +20,7 @@ mod alloy;
 mod dbc;
 mod edram;
 mod flat;
+mod sector_dir;
 mod sectored;
 mod tag_cache;
 

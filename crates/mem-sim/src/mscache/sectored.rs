@@ -6,8 +6,8 @@
 //! metadata lives in the cache DRAM itself; an SRAM [`TagCache`] absorbs
 //! most metadata reads. Replacement is single-bit NRU, as in the paper.
 
+use super::sector_dir::SectorDirectory;
 use super::tag_cache::TagCache;
-use crate::cache::{ReplacementKind, SetAssocCache, Slot};
 use crate::clock::Cycle;
 use crate::dram::{DramConfig, DramModule};
 use crate::prefetch::FootprintPredictor;
@@ -22,15 +22,6 @@ pub enum BlockState {
     CleanHit,
     /// Block present and dirty.
     DirtyHit,
-}
-
-/// Per-sector payload: valid/dirty bits plus the footprint observed during
-/// this residency.
-#[derive(Debug, Clone, Copy, Default)]
-struct Sector {
-    valid: u64,
-    dirty: u64,
-    used: u64,
 }
 
 /// Result of allocating a sector for a demand miss.
@@ -58,7 +49,7 @@ pub struct MetadataProbe {
 /// The sectored DRAM cache.
 #[derive(Debug, Clone)]
 pub struct SectoredDramCache {
-    dir: SetAssocCache<Sector>,
+    dir: SectorDirectory,
     dram: DramModule,
     tag_cache: Option<TagCache>,
     footprint: FootprintPredictor,
@@ -66,12 +57,6 @@ pub struct SectoredDramCache {
     sector_shift: u32,
     /// Synthetic address region for metadata blocks, disjoint from data.
     meta_base: u64,
-    /// One-entry memo of the most recent directory probe, so the
-    /// probe → state → data sequence of a single access resolves the
-    /// directory once. Reset whenever directory lines move (sector
-    /// allocation, set flush); peeks and in-place payload updates keep
-    /// slots stable.
-    probe_slot: Option<(u64, Slot)>,
 }
 
 impl SectoredDramCache {
@@ -118,36 +103,14 @@ impl SectoredDramCache {
         let tag_entries = (sectors / 8).next_power_of_two().max(512);
         let footprint_entries = (sectors / 16).next_power_of_two().max(1024);
         Self {
-            dir: SetAssocCache::new(sets, ways, ReplacementKind::Nru),
+            dir: SectorDirectory::new(sets, ways),
             dram: DramModule::new(dram, cpu_mhz),
             tag_cache: with_tag_cache.then(|| TagCache::new(tag_entries, 4, 5)),
             footprint: FootprintPredictor::new(footprint_entries, blocks_per_sector),
             blocks_per_sector,
             sector_shift: blocks_per_sector.trailing_zeros(),
             meta_base: 1 << 44,
-            probe_slot: None,
         }
-    }
-
-    /// The memoized slot for `sector`, if the last probe resolved it.
-    #[inline]
-    fn memo_slot(&self, sector: u64) -> Option<Slot> {
-        match self.probe_slot {
-            Some((s, slot)) if s == sector => Some(slot),
-            _ => None,
-        }
-    }
-
-    /// Resolves `sector`'s directory slot, consulting and refreshing the
-    /// memo (no replacement-state or counter side effects).
-    #[inline]
-    fn resolve_slot(&mut self, sector: u64) -> Option<Slot> {
-        if let Some(slot) = self.memo_slot(sector) {
-            return Some(slot);
-        }
-        let slot = self.dir.peek_slot(sector)?;
-        self.probe_slot = Some((sector, slot));
-        Some(slot)
     }
 
     /// Blocks per sector.
@@ -202,26 +165,13 @@ impl SectoredDramCache {
     /// Current presence state of a block (directory only; no timing).
     pub fn state(&self, block: u64) -> BlockState {
         let (sector, off) = self.sector_of(block);
-        let payload = match self.memo_slot(sector) {
-            Some(slot) => Some(self.dir.slot_payload(slot)),
-            None => self.dir.peek(sector),
-        };
-        match payload {
-            Some(s) if s.valid >> off & 1 == 1 => {
-                if s.dirty >> off & 1 == 1 {
-                    BlockState::DirtyHit
-                } else {
-                    BlockState::CleanHit
-                }
-            }
-            _ => BlockState::Miss,
-        }
+        self.dir.state(sector, off)
     }
 
     /// Whether the sector containing `block` is resident.
     pub fn sector_present(&self, block: u64) -> bool {
         let (sector, _) = self.sector_of(block);
-        self.memo_slot(sector).is_some() || self.dir.contains(sector)
+        self.dir.contains(sector)
     }
 
     /// Resolves the block's metadata: tag-cache probe, falling back to a
@@ -229,9 +179,7 @@ impl SectoredDramCache {
     /// replacement.
     pub fn probe_metadata(&mut self, block: u64, now: Cycle) -> MetadataProbe {
         let (sector, _) = self.sector_of(block);
-        // Touch the directory for NRU state; remember the hit slot so the
-        // rest of this access skips repeated tag scans.
-        self.probe_slot = self.dir.lookup_slot(sector).map(|slot| (sector, slot));
+        self.dir.touch(sector);
         let meta_block = self.meta_block(sector);
         let writeback_block = self.meta_base + 1;
         match &mut self.tag_cache {
@@ -285,8 +233,8 @@ impl SectoredDramCache {
             "read_data needs a resident block"
         );
         let (sector, off) = self.sector_of(block);
-        if let Some(slot) = self.resolve_slot(sector) {
-            self.dir.slot_payload_mut(slot).used |= 1 << off;
+        if let Some(s) = self.dir.sector_mut(sector) {
+            s.used |= 1 << off;
         }
         self.dram.read_block(block, now)
     }
@@ -296,10 +244,9 @@ impl SectoredDramCache {
     /// route the write to main memory).
     pub fn write_data(&mut self, block: u64, now: Cycle, dirty: bool) -> bool {
         let (sector, off) = self.sector_of(block);
-        let Some(slot) = self.resolve_slot(sector) else {
+        let Some(s) = self.dir.sector_mut(sector) else {
             return false;
         };
-        let s = self.dir.slot_payload_mut(slot);
         s.valid |= 1 << off;
         if dirty {
             // Demand writes count toward the footprint; clean fills do not
@@ -318,8 +265,7 @@ impl SectoredDramCache {
     /// Invalidates one block (write bypass of a resident block).
     pub fn invalidate_block(&mut self, block: u64) {
         let (sector, off) = self.sector_of(block);
-        if let Some(slot) = self.resolve_slot(sector) {
-            let s = self.dir.slot_payload_mut(slot);
+        if let Some(s) = self.dir.sector_mut(sector) {
             s.valid &= !(1 << off);
             s.dirty &= !(1 << off);
         }
@@ -335,10 +281,7 @@ impl SectoredDramCache {
     pub fn allocate(&mut self, block: u64, _now: Cycle) -> Allocation {
         let (sector, off) = self.sector_of(block);
         let predicted = self.footprint.predict(sector, off);
-        let ev = self.dir.insert(sector, Sector::default(), false);
-        // The insert may have moved lines; drop the memo and let the next
-        // probe re-resolve.
-        self.probe_slot = None;
+        let ev = self.dir.insert(sector);
         let mut out = Allocation::default();
         if let Some(ev) = ev {
             self.footprint.record(ev.key, ev.payload.used);
@@ -364,7 +307,6 @@ impl SectoredDramCache {
     /// Flushes a directory set (BATMAN's set disabling); returns the dirty
     /// block addresses that must be written to main memory.
     pub fn flush_set(&mut self, set: u64) -> Vec<u64> {
-        self.probe_slot = None;
         let mut out = Vec::new();
         for ev in self.dir.invalidate_set(set) {
             self.footprint.record(ev.key, ev.payload.used);
@@ -391,7 +333,7 @@ impl SectoredDramCache {
     pub fn clean_sector(&mut self, sector: u64) -> Vec<u64> {
         let shift = self.sector_shift;
         let blocks = self.blocks_per_sector;
-        let Some(s) = self.dir.peek_mut(sector) else {
+        let Some(s) = self.dir.sector_mut(sector) else {
             return Vec::new();
         };
         let dirty = std::mem::take(&mut s.dirty);
