@@ -6,6 +6,33 @@
 //! plenty for a control-plane service (routing *decisions* are returned,
 //! not data).
 //!
+//! ## Waiting for a reply
+//!
+//! A reply is microseconds away, and a client asleep in a blocking read
+//! pays for a wake-up when it lands, most of all when the daemon runs
+//! on another CPU. So once a request is written, the client polls its
+//! socket (nonblocking reads, a `yield_now` after each empty one) for up
+//! to [`POLL_WINDOW`], and only then falls back to a blocking read under
+//! the policy's `io_timeout`. On a 2-CPU VM this took the median
+//! decision (a `GetRoute` and a `ReportServed`) from 27 to 20 µs. A
+//! reply lost while polling is a Recv-stage failure like any other; the
+//! stream is back in blocking mode whenever a call returns.
+//!
+//! Polling pays only while the daemon answers on another CPU. When the
+//! two share one CPU, the first yield hands the daemon the CPU and the
+//! reply is there when the yield returns: the same switch a blocking
+//! read makes, plus the poll's mode toggles, empty read and yield, so
+//! there the poll only adds system calls. The client cannot tell from
+//! its own affinity mask where the daemon runs — a client pinned to one
+//! CPU may well talk to a daemon pinned to another — so each connection
+//! judges by what its polls catch: after 16 polls in a row that caught
+//! nothing a blocking read would have missed (the reply was there
+//! within one yield, or the window ran out), the connection blocks for
+//! the rest of its life. A reconnect polls again.
+//!
+//! Only the client polls. The daemon's workers block between frames, so
+//! a daemon holding many idle connections burns no CPU waiting for them.
+//!
 //! ## Retry semantics
 //!
 //! A [`RetryPolicy`] gives the client jittered exponential backoff with
@@ -29,12 +56,24 @@
 //!   counted in [`Client::indeterminate_reports`].
 
 use crate::engine::RouteDecision;
-use crate::wire::{read_frame, write_frame, Message, RejectCode};
+use crate::wire::{read_frame, write_frame, Message, RejectCode, HEADER_LEN};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+
+/// How long a client polls for a reply before it blocks.
+///
+/// From a sweep of `dapbench --workload dapd-socket` on a 2-CPU VM
+/// (EXPERIMENTS.md § Profiling & benchmarking): 5 µs measured like a
+/// client that never polls, 10–200 µs measured alike, and 20 µs caught
+/// all but 0.3% of the replies from a daemon on the other CPU.
+pub const POLL_WINDOW: Duration = Duration::from_micros(20);
+
+/// Polls in a row that caught nothing a blocking read would have missed,
+/// after which a connection stops polling (see the module docs).
+const POLL_GIVE_UP: u32 = 16;
 
 /// Retry/backoff configuration for a [`Client`].
 ///
@@ -137,6 +176,9 @@ pub struct Client {
     rng: SplitMix64,
     connects: u64,
     indeterminate_reports: u64,
+    /// The current connection's polls in a row that did not pay; it
+    /// stops polling at [`POLL_GIVE_UP`].
+    unpaid_polls: u32,
 }
 
 enum Target {
@@ -147,6 +189,42 @@ enum Target {
 enum Stream {
     Tcp(TcpStream),
     Unix(UnixStream),
+}
+
+impl Stream {
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_nonblocking(nonblocking),
+            Stream::Unix(s) => s.set_nonblocking(nonblocking),
+        }
+    }
+
+    /// Polls for the first bytes of a reply for up to [`POLL_WINDOW`],
+    /// reading them into `head`. Returns what arrived (`Some(0)` is EOF,
+    /// `None` an empty window) and whether polling paid: the reply came
+    /// while this thread spun, after a yield that returned without it.
+    /// Leaves the stream in blocking mode.
+    fn poll_reply(&mut self, head: &mut [u8]) -> io::Result<(Option<usize>, bool)> {
+        self.set_nonblocking(true)?;
+        let deadline = Instant::now() + POLL_WINDOW;
+        let mut yields = 0u32;
+        let polled = loop {
+            match self.read(head) {
+                Ok(n) => break Ok(Some(n)),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if Instant::now() >= deadline {
+                        break Ok(None);
+                    }
+                    std::thread::yield_now();
+                    yields += 1;
+                }
+                Err(e) => break Err(e),
+            }
+        };
+        self.set_nonblocking(false)?;
+        polled.map(|got| (got, got.is_some() && yields > 1))
+    }
 }
 
 impl Read for Stream {
@@ -239,6 +317,7 @@ impl Client {
             rng,
             connects: 0,
             indeterminate_reports: 0,
+            unpaid_polls: 0,
         };
         let start = Instant::now();
         let mut attempt = 0u32;
@@ -285,6 +364,7 @@ impl Client {
         };
         self.stream = Some(stream);
         self.connects += 1;
+        self.unpaid_polls = 0;
         Ok(())
     }
 
@@ -294,7 +374,7 @@ impl Client {
         self.ensure_connected().map_err(|e| (Stage::Connect, e))?;
         let stream = self.stream.as_mut().expect("connected above");
         write_frame(stream, msg).map_err(|e| (Stage::Send, e))?;
-        match read_frame(stream) {
+        match self.read_reply() {
             Ok(Some(Message::Reject(code))) => {
                 let err = reject_to_error(code);
                 let stage = match code {
@@ -315,6 +395,27 @@ impl Client {
                 ),
             )),
             Err(e) => Err((Stage::Recv, e)),
+        }
+    }
+
+    /// Reads the reply to the request just written: polls for it while
+    /// this connection's polls pay, then finishes (or starts) the frame
+    /// with a blocking read under the policy's `io_timeout`.
+    fn read_reply(&mut self) -> io::Result<Option<Message>> {
+        let stream = self.stream.as_mut().expect("called after a send");
+        // No more than a header: the poll must not read past the reply.
+        let mut head = [0u8; HEADER_LEN];
+        let got = if self.unpaid_polls < POLL_GIVE_UP {
+            let (got, paid) = stream.poll_reply(&mut head)?;
+            self.unpaid_polls = if paid { 0 } else { self.unpaid_polls + 1 };
+            got
+        } else {
+            None
+        };
+        match got {
+            Some(0) => Ok(None),
+            Some(n) => read_frame(&mut head[..n].chain(stream)),
+            None => read_frame(stream),
         }
     }
 
@@ -470,6 +571,7 @@ mod tests {
             rng: SplitMix64::new(7),
             connects: 0,
             indeterminate_reports: 0,
+            unpaid_polls: 0,
         };
         let mut a = make();
         let mut b = make();
@@ -505,6 +607,36 @@ mod tests {
         let p = RetryPolicy::none();
         assert_eq!(p.max_attempts, 1);
         assert_eq!(p.io_timeout, None);
+    }
+
+    #[test]
+    fn unpaid_polls_stop_polling_until_a_reconnect() {
+        let path = std::env::temp_dir().join(format!("dapd-unpaid-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = std::os::unix::net::UnixListener::bind(&path).expect("bind");
+        // Acks every request a millisecond late, past every poll window,
+        // on two connections in turn.
+        let peer = std::thread::spawn(move || {
+            for _ in 0..2 {
+                let (mut stream, _) = listener.accept().expect("accept");
+                while let Ok(Some(_)) = read_frame(&mut stream) {
+                    std::thread::sleep(Duration::from_millis(1));
+                    write_frame(&mut stream, &Message::Ack).expect("ack");
+                }
+            }
+        });
+        let mut client = Client::connect_unix(&path).expect("connect");
+        for calls in 1..=POLL_GIVE_UP + 4 {
+            client.report_served(0, 64, 1).expect("acked");
+            assert_eq!(client.unpaid_polls, calls.min(POLL_GIVE_UP));
+        }
+        client.stream = None;
+        client.report_served(0, 64, 1).expect("acked");
+        assert_eq!(client.unpaid_polls, 1, "a new connection polls again");
+        assert_eq!(client.reconnects(), 1);
+        drop(client);
+        peer.join().expect("peer thread");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

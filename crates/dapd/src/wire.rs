@@ -33,6 +33,9 @@ use std::io::{self, Read, Write};
 /// daemon.
 pub const MAX_PAYLOAD: u32 = 1 << 20;
 
+/// Bytes before a frame's payload: the `u32` length and the type byte.
+pub(crate) const HEADER_LEN: usize = 5;
+
 const TYPE_GET_ROUTE: u8 = 1;
 const TYPE_REPORT_SERVED: u8 = 2;
 const TYPE_SNAPSHOT_STATS: u8 = 3;
@@ -213,7 +216,7 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
         Message::Stats(text) => payload.extend_from_slice(text.as_bytes()),
         Message::Reject(code) => payload.push(*code as u8),
     }
-    let mut frame = Vec::with_capacity(5 + payload.len());
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.push(msg.type_byte());
     frame.extend_from_slice(&payload);
@@ -246,9 +249,9 @@ fn le_u32(b: &[u8]) -> u32 {
 /// On success returns the message and the total number of bytes consumed
 /// (header + payload), so stream readers can advance their buffer.
 pub fn decode_frame(buf: &[u8]) -> Result<(Message, usize), WireError> {
-    if buf.len() < 5 {
+    if buf.len() < HEADER_LEN {
         return Err(WireError::Truncated {
-            needed: 5,
+            needed: HEADER_LEN,
             got: buf.len(),
         });
     }
@@ -272,14 +275,14 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Message, usize), WireError> {
             });
         }
     }
-    let total = 5 + payload_len as usize;
+    let total = HEADER_LEN + payload_len as usize;
     if buf.len() < total {
         return Err(WireError::Truncated {
             needed: total,
             got: buf.len(),
         });
     }
-    let p = &buf[5..total];
+    let p = &buf[HEADER_LEN..total];
     let msg = match ty {
         TYPE_GET_ROUTE => Message::GetRoute {
             tenant: le_u16(&p[0..2]),
@@ -325,12 +328,22 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Message>> {
 /// Like [`read_frame`], but also reports the frame's total wire size
 /// (header + payload) so callers can enforce per-connection byte budgets
 /// without re-encoding the message.
+///
+/// [`io::ErrorKind::Interrupted`] is retried, as `read_exact` does: a
+/// blocking socket read under a receive timeout fails with it whenever a
+/// signal handler runs on the reading thread.
 pub fn read_frame_counted<R: Read>(r: &mut R) -> io::Result<Option<(Message, usize)>> {
-    let mut header = [0u8; 5];
-    match r.read(&mut header)? {
-        0 => return Ok(None),
-        n => r.read_exact(&mut header[n..])?,
+    let mut header = [0u8; HEADER_LEN];
+    let n = loop {
+        match r.read(&mut header) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            got => break got?,
+        }
+    };
+    if n == 0 {
+        return Ok(None);
     }
+    r.read_exact(&mut header[n..])?;
     let payload_len = le_u32(&header[0..4]);
     if payload_len > MAX_PAYLOAD {
         return Err(io::Error::new(
@@ -339,8 +352,8 @@ pub fn read_frame_counted<R: Read>(r: &mut R) -> io::Result<Option<(Message, usi
         ));
     }
     let mut frame = header.to_vec();
-    frame.resize(5 + payload_len as usize, 0);
-    r.read_exact(&mut frame[5..])?;
+    frame.resize(HEADER_LEN + payload_len as usize, 0);
+    r.read_exact(&mut frame[HEADER_LEN..])?;
     match decode_frame(&frame) {
         Ok((msg, consumed)) => {
             debug_assert_eq!(consumed, frame.len());
@@ -411,6 +424,41 @@ mod tests {
             assert_eq!(read_frame(&mut cursor).unwrap(), Some(msg));
         }
         assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
+    }
+
+    /// Fails every other read with `Interrupted`, as a blocking socket
+    /// read does when a signal handler runs on its thread, and hands out
+    /// the stream in chunks of at most three bytes in between.
+    struct Interrupting<R> {
+        inner: R,
+        interrupt: bool,
+    }
+
+    impl<R: Read> Read for Interrupting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(3);
+            self.inner.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried() {
+        let mut buf = Vec::new();
+        for msg in all_messages() {
+            write_frame(&mut buf, &msg).unwrap();
+        }
+        let mut r = Interrupting {
+            inner: std::io::Cursor::new(buf),
+            interrupt: false,
+        };
+        for msg in all_messages() {
+            assert_eq!(read_frame(&mut r).unwrap(), Some(msg));
+        }
+        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
     }
 
     #[test]

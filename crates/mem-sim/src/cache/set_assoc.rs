@@ -489,16 +489,15 @@ impl<P: Default + Clone> SetAssocCache<P> {
     }
 
     /// Peeks every valid line in `key`'s set without perturbing replacement
-    /// state: (reconstructed key, dirty, payload reference).
-    pub fn peek_set(&self, key: u64) -> Vec<(u64, bool, &P)> {
+    /// state: (reconstructed key, dirty, payload reference), in way order.
+    pub fn peek_set(&self, key: u64) -> impl Iterator<Item = (u64, bool, &P)> {
         let (set, _) = self.split(key);
         let base = set * self.ways;
         self.set_lines(set)
             .iter()
             .zip(&self.payloads[base..base + self.ways])
             .filter(|(&w, _)| w & VALID != 0)
-            .map(|(&w, p)| (self.key_of(w, set), w & DIRTY != 0, p))
-            .collect()
+            .map(move |(&w, p)| (self.key_of(w, set), w & DIRTY != 0, p))
     }
 
     /// Number of valid lines (diagnostics).

@@ -152,9 +152,8 @@ impl AlloyCache {
         // slot; if that occupant has demonstrated reuse, keep it.
         self.dir
             .peek_set(block)
-            .first()
-            .map(|(_, _, &reuse)| reuse == 0)
-            .unwrap_or(true)
+            .next()
+            .is_none_or(|(_, _, &reuse)| reuse == 0)
     }
 
     /// Writes `block` into its slot (fill when `dirty` is false, demand

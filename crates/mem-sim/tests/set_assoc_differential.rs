@@ -380,11 +380,8 @@ impl Pair {
                 }
             }
             16 => {
-                let got: Vec<(u64, bool, u32)> = c
-                    .peek_set(key)
-                    .into_iter()
-                    .map(|(k, d, &p)| (k, d, p))
-                    .collect();
+                let got: Vec<(u64, bool, u32)> =
+                    c.peek_set(key).map(|(k, d, &p)| (k, d, p)).collect();
                 assert_eq!(got, r.peek_set_at(r.split(key).0), "peek_set");
             }
             _ => self.slot_op(rng, value),
