@@ -78,6 +78,22 @@ for fig in fig06_dap_sectored fig_fault_degradation; do
 done
 unset DAP_INSTRUCTIONS DAP_THREADS
 
+# Run-twice determinism: no other check runs the OS-visible flat tier
+# twice. Its epoch migrator charges page moves to both DRAMs, so the
+# order it migrates in is part of the timing, and two runs of Extension D
+# must print byte-identical tables. 300k instructions per core (~15 s a
+# run) is a budget at which a migration order taken from hash-map
+# iteration made two runs differ.
+echo "== ext_os_visible run-twice determinism"
+for run in 1 2; do
+    DAP_INSTRUCTIONS=300000 DAP_THREADS=1 ./target/release/ext_os_visible \
+        > "$ckpt_dir/ext_os_visible.$run"
+done
+cmp "$ckpt_dir/ext_os_visible.1" "$ckpt_dir/ext_os_visible.2" || {
+    echo "ci: two ext_os_visible runs printed different tables" >&2
+    exit 1
+}
+
 # Benchmark smoke: dapbench runs every workload briefly and exits 0 only
 # when every correctness and bit-identity check holds. Its passes agreeing
 # with each other says nothing about agreeing with the previous commit, so

@@ -195,12 +195,16 @@ impl Channel {
         // Channel turnaround: one burst worth of dead bus time.
         self.bus_free_at = self.bus_free_at.max(now) + self.timing.burst;
         self.busy_cycles += self.timing.burst;
-        let queue = std::mem::take(&mut self.write_queue);
+        // Borrow the batch out and hand the same buffer back afterwards, so
+        // the queue keeps its capacity and the next batch never reallocates.
+        let mut queue = std::mem::take(&mut self.write_queue);
         let mut done = now;
-        for (bank, row) in queue {
+        for &(bank, row) in &queue {
             done = self.access(bank, row, now, self.timing.burst);
             self.stats.cas_writes += 1;
         }
+        queue.clear();
+        self.write_queue = queue;
         done
     }
 
@@ -506,6 +510,27 @@ mod tests {
             last_storm > last_plain + last_plain / 4,
             "40% storm duty must cost substantial bandwidth: {last_storm} vs {last_plain}"
         );
+    }
+
+    #[test]
+    fn write_queue_keeps_its_buffer_across_batches() {
+        let mut c = channel();
+        let batch = c.write_batch;
+        let mut capacity = None;
+        for round in 0..4u64 {
+            for i in 0..batch as u32 {
+                c.write(i % 4, round, round * 1_000);
+            }
+            assert_eq!(c.pending_writes(), 0, "a full batch drains");
+            let cap = c.write_queue.capacity();
+            assert!(cap >= batch, "drained queue kept {cap} < {batch} slots");
+            assert_eq!(*capacity.get_or_insert(cap), cap, "round {round}");
+        }
+        // An opportunistic drain from an idle read hands the buffer back too.
+        c.write(0, 9, 10_000);
+        c.read(1, 9, 1_000_000, None);
+        assert_eq!(c.pending_writes(), 0);
+        assert_eq!(Some(c.write_queue.capacity()), capacity);
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub mod config;
 pub mod core_model;
 pub mod dram;
 pub mod faults;
-pub mod hash;
 pub mod interrupt;
 pub mod mscache;
 pub mod policy;

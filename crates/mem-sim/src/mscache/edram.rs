@@ -6,22 +6,12 @@
 //! fills and demand writes ride the write channels — so read-miss fills do
 //! not steal read bandwidth. Sector size is 1 KB, associativity 16.
 
-use super::sector_dir::SectorDirectory;
+use super::sector_dir::{SectorDirectory, SectorFill};
 use super::sectored::BlockState;
 use crate::clock::Cycle;
 use crate::dram::{DramConfig, DramModule};
 use crate::prefetch::FootprintPredictor;
 use crate::BLOCK_BYTES;
-
-/// Result of allocating a sector.
-#[derive(Debug, Clone, Default)]
-pub struct EdramAllocation {
-    /// Blocks to fetch from main memory and fill via the write channels.
-    pub fetch_blocks: Vec<u64>,
-    /// Dirty victim blocks: read via the read channels, written to main
-    /// memory.
-    pub victim_dirty_blocks: Vec<u64>,
-}
 
 /// The sectored eDRAM cache.
 #[derive(Debug, Clone)]
@@ -190,27 +180,12 @@ impl EdramCache {
 
     /// Allocates a sector for a demand miss; see
     /// [`SectoredDramCache::allocate`](super::SectoredDramCache::allocate).
-    pub fn allocate(&mut self, block: u64, _now: Cycle) -> EdramAllocation {
+    /// Fetched blocks fill via the write channels; dirty victim blocks are
+    /// read via the read channels and written to main memory.
+    pub fn allocate(&mut self, block: u64, _now: Cycle) -> SectorFill {
         let (sector, off) = self.sector_of(block);
-        let predicted = self.footprint.predict(sector, off);
-        let ev = self.dir.insert(sector);
-        let mut out = EdramAllocation::default();
-        if let Some(ev) = ev {
-            self.footprint.record(ev.key, ev.payload.used);
-            let base = ev.key << self.sector_shift;
-            for i in 0..self.blocks_per_sector {
-                if ev.payload.dirty >> i & 1 == 1 {
-                    out.victim_dirty_blocks.push(base + u64::from(i));
-                }
-            }
-        }
-        let base = sector << self.sector_shift;
-        for i in 0..self.blocks_per_sector {
-            if predicted >> i & 1 == 1 {
-                out.fetch_blocks.push(base + u64::from(i));
-            }
-        }
-        out
+        self.dir
+            .allocate(&mut self.footprint, sector, off, self.blocks_per_sector)
     }
 
     /// Reads an evicted dirty block via the read channels.
@@ -284,7 +259,7 @@ mod tests {
         // 16 ways: insert 16 conflicting sectors to evict sector 2.
         for k in 1..=16u64 {
             let a = c.allocate((2 + sets * k) << 4, 0);
-            dirty.extend(a.victim_dirty_blocks);
+            dirty.extend(a.victim_dirty);
         }
         assert_eq!(dirty, vec![base + 1]);
     }

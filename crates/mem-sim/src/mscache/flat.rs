@@ -18,7 +18,7 @@
 //! Page migrations are charged: 64 block reads from the source tier and 64
 //! block writes to the destination, per 4 KB page moved.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::clock::Cycle;
 use crate::dram::{DramConfig, DramModule};
@@ -42,7 +42,7 @@ pub struct FlatTier {
     goal: PlacementGoal,
     capacity_pages: usize,
     fast_fraction_target: f64,
-    fast_pages: HashMap<u64, ()>,
+    fast_pages: HashSet<u64>,
     counts: HashMap<u64, u32>,
     epoch_accesses: u64,
     epoch_len: u64,
@@ -73,7 +73,7 @@ impl FlatTier {
             goal,
             capacity_pages,
             fast_fraction_target: fast_gbps / (fast_gbps + mm_gbps),
-            fast_pages: HashMap::new(),
+            fast_pages: HashSet::new(),
             counts: HashMap::new(),
             epoch_accesses: 0,
             epoch_len: 16 * 1024,
@@ -134,7 +134,7 @@ impl FlatTier {
         if self.epoch_accesses >= self.epoch_len {
             self.replan(now, mm);
         }
-        if self.fast_pages.contains_key(&page) {
+        if self.fast_pages.contains(&page) {
             self.fast_hits += 1;
             let done = if write {
                 self.fast.write_block(block, now);
@@ -167,10 +167,10 @@ impl FlatTier {
             .collect();
         pages.sort_unstable_by_key(|&(p, c)| (std::cmp::Reverse(c), p));
         let total: u64 = self.counts.values().map(|&c| u64::from(c)).sum();
-        let mut chosen: HashMap<u64, ()> = HashMap::new();
+        let mut chosen = 0;
         let mut covered: u64 = 0;
-        for &(page, count) in &pages {
-            if chosen.len() >= self.capacity_pages {
+        for &(_, count) in &pages {
+            if chosen >= self.capacity_pages {
                 break;
             }
             if self.goal == PlacementGoal::BandwidthOptimal
@@ -179,26 +179,32 @@ impl FlatTier {
             {
                 break;
             }
-            chosen.insert(page, ());
+            chosen += 1;
             covered += u64::from(count);
         }
-        // Charge migrations: pages entering the fast tier.
-        for &page in chosen.keys() {
-            if !self.fast_pages.contains_key(&page) {
+        let chosen = &pages[..chosen];
+        // Migrations reserve DRAM time, so their order is part of the
+        // timing: never take it from a hash map's iteration order. Pages
+        // enter the fast tier hottest first (the sorted order above) ...
+        for &(page, _) in chosen {
+            if !self.fast_pages.contains(&page) {
                 self.migrate(page, now, mm, true);
             }
         }
-        // Pages leaving the fast tier (OS-visible: data must move back).
-        let leaving: Vec<u64> = self
+        // ... and leave it (OS-visible: data must move back) by ascending
+        // page number.
+        let placed: HashSet<u64> = chosen.iter().map(|&(page, _)| page).collect();
+        let mut leaving: Vec<u64> = self
             .fast_pages
-            .keys()
-            .filter(|p| !chosen.contains_key(p))
+            .iter()
+            .filter(|p| !placed.contains(p))
             .copied()
             .collect();
+        leaving.sort_unstable();
         for page in leaving {
             self.migrate(page, now, mm, false);
         }
-        self.fast_pages = chosen;
+        self.fast_pages = placed;
         // Age the counters so placement tracks phase changes.
         self.counts.retain(|_, c| {
             *c /= 2;

@@ -26,7 +26,8 @@ mod tag_cache;
 
 pub use alloy::AlloyCache;
 pub use dbc::DirtyBitCache;
-pub use edram::{EdramAllocation, EdramCache};
+pub use edram::EdramCache;
 pub use flat::{FlatTier, PlacementGoal};
-pub use sectored::{Allocation, BlockState, MetadataProbe, SectoredDramCache};
+pub use sector_dir::{SectorBlocks, SectorFill};
+pub use sectored::{BlockState, MetadataProbe, SectoredDramCache};
 pub use tag_cache::{TagCache, TagProbe};

@@ -6,7 +6,7 @@
 //! metadata lives in the cache DRAM itself; an SRAM [`TagCache`] absorbs
 //! most metadata reads. Replacement is single-bit NRU, as in the paper.
 
-use super::sector_dir::SectorDirectory;
+use super::sector_dir::{SectorBlocks, SectorDirectory, SectorFill};
 use super::tag_cache::TagCache;
 use crate::clock::Cycle;
 use crate::dram::{DramConfig, DramModule};
@@ -22,17 +22,6 @@ pub enum BlockState {
     CleanHit,
     /// Block present and dirty.
     DirtyHit,
-}
-
-/// Result of allocating a sector for a demand miss.
-#[derive(Debug, Clone, Default)]
-pub struct Allocation {
-    /// Block addresses the footprint prefetcher wants fetched from main
-    /// memory and filled (includes the demanded block).
-    pub fetch_blocks: Vec<u64>,
-    /// Dirty blocks of the evicted victim sector, which must be read from
-    /// the cache array and written to main memory.
-    pub victim_dirty_blocks: Vec<u64>,
 }
 
 /// Outcome of a metadata probe.
@@ -278,30 +267,15 @@ impl SectoredDramCache {
     /// returns the footprint-predicted blocks to fetch and the victim's
     /// dirty blocks to evict. The caller performs the fetches (main-memory
     /// reads + [`Self::write_data`] fills) and eviction traffic.
-    pub fn allocate(&mut self, block: u64, _now: Cycle) -> Allocation {
+    pub fn allocate(&mut self, block: u64, _now: Cycle) -> SectorFill {
         let (sector, off) = self.sector_of(block);
-        let predicted = self.footprint.predict(sector, off);
-        let ev = self.dir.insert(sector);
-        let mut out = Allocation::default();
-        if let Some(ev) = ev {
-            self.footprint.record(ev.key, ev.payload.used);
-            let base = ev.key << self.sector_shift;
-            for i in 0..self.blocks_per_sector {
-                if ev.payload.dirty >> i & 1 == 1 {
-                    out.victim_dirty_blocks.push(base + u64::from(i));
-                }
-            }
-        }
-        let base = sector << self.sector_shift;
-        for i in 0..self.blocks_per_sector {
-            if predicted >> i & 1 == 1 {
-                out.fetch_blocks.push(base + u64::from(i));
-            }
-        }
+        let fill = self
+            .dir
+            .allocate(&mut self.footprint, sector, off, self.blocks_per_sector);
         if let Some(tc) = &mut self.tag_cache {
             tc.mark_dirty(sector);
         }
-        out
+        fill
     }
 
     /// Flushes a directory set (BATMAN's set disabling); returns the dirty
@@ -310,12 +284,11 @@ impl SectoredDramCache {
         let mut out = Vec::new();
         for ev in self.dir.invalidate_set(set) {
             self.footprint.record(ev.key, ev.payload.used);
-            let base = ev.key << self.sector_shift;
-            for i in 0..self.blocks_per_sector {
-                if ev.payload.dirty >> i & 1 == 1 {
-                    out.push(base + u64::from(i));
-                }
-            }
+            out.extend(SectorBlocks::new(
+                ev.key,
+                ev.payload.dirty,
+                self.blocks_per_sector,
+            ));
         }
         out
     }
@@ -327,21 +300,15 @@ impl SectoredDramCache {
     }
 
     /// Cleans a sector in place: clears its dirty bits and returns the
-    /// block addresses that were dirty (the caller reads them from the
-    /// array and writes them to main memory). Used by SBD's Dirty List
-    /// evictions. Returns an empty list if the sector is absent.
-    pub fn clean_sector(&mut self, sector: u64) -> Vec<u64> {
-        let shift = self.sector_shift;
+    /// blocks that were dirty (the caller reads them from the array and
+    /// writes them to main memory). Used by SBD's Dirty List evictions.
+    /// Returns no blocks if the sector is absent.
+    pub fn clean_sector(&mut self, sector: u64) -> SectorBlocks {
         let blocks = self.blocks_per_sector;
         let Some(s) = self.dir.sector_mut(sector) else {
-            return Vec::new();
+            return SectorBlocks::default();
         };
-        let dirty = std::mem::take(&mut s.dirty);
-        let base = sector << shift;
-        (0..blocks)
-            .filter(|i| dirty >> i & 1 == 1)
-            .map(|i| base + u64::from(i))
-            .collect()
+        SectorBlocks::new(sector, std::mem::take(&mut s.dirty), blocks)
     }
 }
 

@@ -24,11 +24,11 @@ fn miss_then_fill_then_hit() {
     assert_eq!(c.state(block), BlockState::Miss);
     let alloc = c.allocate(block, 0);
     assert_eq!(
-        alloc.fetch_blocks,
+        alloc.fetch.collect::<Vec<_>>(),
         vec![block],
         "cold footprint = demand block"
     );
-    assert!(alloc.victim_dirty_blocks.is_empty());
+    assert_eq!(alloc.victim_dirty.len(), 0);
     assert!(c.write_data(block, 0, false));
     assert_eq!(c.state(block), BlockState::CleanHit);
 }
@@ -75,13 +75,10 @@ fn footprint_replay_on_reallocation() {
         c.allocate(sector << 6, 0);
     }
     assert_eq!(c.state(base), BlockState::Miss, "sector 7 must be evicted");
-    let alloc = c.allocate(base + 1, 0);
-    assert!(alloc.fetch_blocks.contains(&base), "footprint block 0");
-    assert!(
-        alloc.fetch_blocks.contains(&(base + 3)),
-        "footprint block 3"
-    );
-    assert!(alloc.fetch_blocks.contains(&(base + 1)), "demand block");
+    let fetch: Vec<u64> = c.allocate(base + 1, 0).fetch.collect();
+    assert!(fetch.contains(&base), "footprint block 0");
+    assert!(fetch.contains(&(base + 3)), "footprint block 3");
+    assert!(fetch.contains(&(base + 1)), "demand block");
 }
 
 #[test]
@@ -95,7 +92,7 @@ fn eviction_reports_dirty_blocks() {
     let mut victim_dirty = Vec::new();
     for k in 1..=4u64 {
         let a = c.allocate((9 + 256 * k) << 6, 0);
-        victim_dirty.extend(a.victim_dirty_blocks);
+        victim_dirty.extend(a.victim_dirty);
     }
     assert_eq!(victim_dirty, vec![base, base + 5]);
 }
@@ -140,4 +137,37 @@ fn flush_set_returns_dirty_blocks() {
 fn write_data_to_absent_sector_refuses() {
     let mut c = cache();
     assert!(!c.write_data(0x9999, 0, true));
+}
+
+#[test]
+fn fully_dirty_victim_evicts_all_64_blocks_in_order() {
+    let mut c = cache();
+    let base = 13u64 << 6;
+    c.allocate(base, 0);
+    for i in 0..64 {
+        assert!(c.write_data(base + i, 0, true));
+    }
+    let mut victim_dirty = Vec::new();
+    for k in 1..=4u64 {
+        let a = c.allocate((13 + 256 * k) << 6, 0);
+        victim_dirty.extend(a.victim_dirty);
+    }
+    assert_eq!(victim_dirty, (base..base + 64).collect::<Vec<_>>());
+}
+
+#[test]
+fn clean_sector_returns_and_clears_the_dirty_blocks() {
+    let mut c = cache();
+    let base = 21u64 << 6;
+    c.allocate(base, 0);
+    c.write_data(base + 63, 0, true);
+    c.write_data(base + 4, 0, true);
+    c.write_data(base + 5, 0, false);
+    assert_eq!(
+        c.clean_sector(21).collect::<Vec<_>>(),
+        vec![base + 4, base + 63]
+    );
+    assert_eq!(c.state(base + 63), BlockState::CleanHit);
+    assert_eq!(c.clean_sector(21).len(), 0);
+    assert_eq!(c.clean_sector(99).len(), 0, "absent sector");
 }

@@ -2,11 +2,10 @@
 //! prefetchers, and the MSHR merge window in front of the memory
 //! subsystem.
 
-use crate::cache::{ReplacementKind, SetAssocCache};
+use crate::cache::{MshrTable, ReplacementKind, SetAssocCache};
 use crate::clock::Cycle;
 use crate::config::SystemConfig;
 use crate::core_model::CoreModel;
-use crate::hash::FastMap;
 use crate::policy::{NoPartitioning, Partitioner};
 use crate::prefetch::StridePrefetcher;
 use crate::trace::TraceSource;
@@ -26,7 +25,7 @@ pub struct System {
     l2: Vec<SetAssocCache<()>>,
     prefetchers: Vec<StridePrefetcher>,
     l3: SetAssocCache<()>,
-    mshr: FastMap<u64, Cycle>,
+    mshr: MshrTable,
     mshr_cleanup_at: usize,
     /// Reused between accesses so the prefetcher's candidate list never
     /// allocates in steady state.
@@ -71,7 +70,7 @@ impl System {
                 .map(|_| StridePrefetcher::new(config.prefetch_degree))
                 .collect(),
             l3: SetAssocCache::new(config.l3.0, config.l3.1, ReplacementKind::Lru),
-            mshr: FastMap::default(),
+            mshr: MshrTable::new(),
             mshr_cleanup_at: 8192,
             prefetch_buf: Vec::new(),
             mem,
@@ -180,7 +179,7 @@ impl System {
         }
         // An in-flight miss for this block (demand or prefetch) means the
         // data is not in the array yet: merge and wait for its completion.
-        if let Some(&c) = self.mshr.get(&block) {
+        if let Some(c) = self.mshr.get(block) {
             if c > t {
                 if kind != MemAccessKind::Prefetch {
                     self.mem.stats_mut().l3_misses += 1;
@@ -216,7 +215,11 @@ impl System {
         let done = self.mem.read(block, core, pc, t, kind);
         self.mshr.insert(block, done);
         if self.mshr.len() > self.mshr_cleanup_at {
-            self.mshr.retain(|_, &mut c| c > t);
+            // Cores probe at their own, non-monotone local cycles, so an
+            // entry completed by `t` can still merge a lagging core's
+            // miss: which entries survive, and when this cleanup runs,
+            // are part of the model (DESIGN.md § Simulation kernel).
+            self.mshr.retain(|_, c| c > t);
             // Amortize: if most entries are still outstanding (saturated
             // memory), grow the threshold instead of re-scanning per insert.
             self.mshr_cleanup_at = (self.mshr.len() * 2).max(8192);
@@ -225,7 +228,7 @@ impl System {
     }
 
     fn prefetch(&mut self, block: u64, core: usize, pc: u64, t: Cycle) {
-        if self.l3.contains(block) || self.mshr.get(&block).map(|&c| c > t).unwrap_or(false) {
+        if self.l3.contains(block) || self.mshr.get(block).is_some_and(|c| c > t) {
             return;
         }
         // Prefetches only consume spare bandwidth; drop them once the

@@ -5,7 +5,7 @@
 
 use crate::clock::Cycle;
 use crate::dram::DramStats;
-use crate::mscache::{BlockState, EdramCache, SectoredDramCache};
+use crate::mscache::{BlockState, EdramCache, SectorFill, SectoredDramCache};
 use crate::policy::{Observation, ReadContext, ReadRoute};
 
 use super::sector_routing::{read_sector_cache, write_sector_cache, PreRead, Probe, SectorCache};
@@ -116,9 +116,8 @@ impl SectorCache for SectoredDramCache {
         }
     }
 
-    fn allocate_sector(&mut self, block: u64, now: Cycle) -> (Vec<u64>, Vec<u64>) {
-        let alloc = self.allocate(block, now);
-        (alloc.victim_dirty_blocks, alloc.fetch_blocks)
+    fn allocate_sector(&mut self, block: u64, now: Cycle) -> SectorFill {
+        self.allocate(block, now)
     }
 
     fn read_for_eviction(&mut self, block: u64, now: Cycle) {
@@ -246,9 +245,8 @@ impl SectorCache for EdramCache {
         EdramCache::write_data(self, block, now, false)
     }
 
-    fn allocate_sector(&mut self, block: u64, now: Cycle) -> (Vec<u64>, Vec<u64>) {
-        let alloc = self.allocate(block, now);
-        (alloc.victim_dirty_blocks, alloc.fetch_blocks)
+    fn allocate_sector(&mut self, block: u64, now: Cycle) -> SectorFill {
+        self.allocate(block, now)
     }
 
     fn read_for_eviction(&mut self, block: u64, now: Cycle) {

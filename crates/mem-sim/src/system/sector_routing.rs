@@ -10,7 +10,7 @@
 //! [`write_sector_cache`], and [`fill_sector_cache`].
 
 use crate::clock::Cycle;
-use crate::mscache::BlockState;
+use crate::mscache::{BlockState, SectorFill};
 use crate::policy::{Observation, ReadContext, WriteRoute};
 
 use super::subsystem::RouteEnv;
@@ -74,9 +74,9 @@ pub(super) trait SectorCache {
     /// Fills `block` if its sector is already resident; `true` on success.
     fn try_fill_resident(&mut self, block: u64, now: Cycle) -> bool;
 
-    /// Allocates the sector for `block`; returns
-    /// `(victim_dirty_blocks, fetch_blocks)`.
-    fn allocate_sector(&mut self, block: u64, now: Cycle) -> (Vec<u64>, Vec<u64>);
+    /// Allocates the sector for `block`; returns the victim's dirty
+    /// blocks and the blocks to fetch.
+    fn allocate_sector(&mut self, block: u64, now: Cycle) -> SectorFill;
 
     /// Reads a victim block out of the array for eviction write-back.
     fn read_for_eviction(&mut self, block: u64, now: Cycle);
@@ -159,15 +159,15 @@ fn fill_sector_cache<C: SectorCache>(c: &mut C, env: &mut RouteEnv, block: u64, 
         env.stats.fills += 1;
         return;
     }
-    let (victims, fetches) = c.allocate_sector(block, now);
-    for victim in victims {
+    let fill = c.allocate_sector(block, now);
+    for victim in fill.victim_dirty {
         c.read_for_eviction(victim, now);
         env.observe(Observation::CacheAccess { write: false }, now);
         env.observe(Observation::MmAccess, now);
         env.mm.write_block(victim, now);
         env.stats.ms_dirty_evictions += 1;
     }
-    for fetch in fetches {
+    for fetch in fill.fetch {
         if fetch != block {
             // Footprint prefetch: fetch from main memory, fill the array.
             env.mm.read_block(fetch, now);

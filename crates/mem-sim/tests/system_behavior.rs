@@ -242,3 +242,26 @@ fn deterministic_across_runs() {
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.per_core[0].cycles, b.per_core[0].cycles);
 }
+
+#[test]
+fn flat_tier_runs_are_reproducible() {
+    // The flat tier's epoch migrator charges page moves to both DRAMs, so
+    // the order it migrates in is part of the timing: two runs of the
+    // same system must agree exactly, whichever goal places the pages.
+    use mem_sim::mscache::PlacementGoal;
+    for goal in [
+        PlacementGoal::MaximizeFastHits,
+        PlacementGoal::BandwidthOptimal,
+    ] {
+        let run = || {
+            let traces: Vec<Box<dyn TraceSource>> = vec![
+                Box::new(ChaseTrace::new(0x1000_0000, 3, 24 << 20)),
+                Box::new(StrideTrace::new(0x9_0000_0000, 2, 48 << 20, 0.3)),
+            ];
+            System::new(SystemConfig::flat_tier(2, goal), traces).run(200_000)
+        };
+        let first = run();
+        assert!(first.stats.demand_reads > 0);
+        assert_eq!(first, run(), "{goal:?}");
+    }
+}
