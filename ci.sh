@@ -43,6 +43,31 @@ cargo test --release --offline -q -p experiments --test fault_tolerance \
 echo "== strict-audit fig01 smoke"
 DAP_INSTRUCTIONS=20000 ./target/release/fig01_bw_vs_hitrate --audit >/dev/null
 
+# Trace-artifact smoke: `dapctl trace` writes its window trace once, as
+# JSONL, and `dapctl trace summarize` reads it back. A copy cut at a
+# record-line boundary parses line by line; only the header's declared
+# window count shows the loss, so summarize must exit 4 on it, and 0
+# with --lenient-ok.
+echo "== dapctl trace artifact smoke (write, summarize, cut copy)"
+trace_dir=$(mktemp -d)
+./target/release/dapctl trace mcf --instructions 20000 --out "$trace_dir" >/dev/null
+trace_jsonl=$(find "$trace_dir" -type f -name '*.jsonl')
+[ -n "$trace_jsonl" ] && [ "$(find "$trace_dir" -type f)" = "$trace_jsonl" ] || {
+    echo "ci: dapctl trace must write exactly one .jsonl and nothing else:" >&2
+    find "$trace_dir" -type f >&2
+    exit 1
+}
+./target/release/dapctl trace summarize "$trace_jsonl" >/dev/null
+head -n 101 "$trace_jsonl" > "$trace_dir/cut.jsonl"
+cut_status=0
+./target/release/dapctl trace summarize "$trace_dir/cut.jsonl" >/dev/null 2>&1 || cut_status=$?
+[ "$cut_status" -eq 4 ] || {
+    echo "ci: summarize of a cut trace exited $cut_status, expected 4" >&2
+    exit 1
+}
+./target/release/dapctl trace summarize "$trace_dir/cut.jsonl" --lenient-ok >/dev/null 2>&1
+rm -rf "$trace_dir"
+
 # SIGINT resume smoke: for each figure, an uninterrupted run is the
 # reference. A second run checkpoints into a fresh DAP_RESUME manifest and
 # is interrupted once its first cell is on disk; it must exit with the

@@ -1,7 +1,7 @@
 //! Opt-in window-trace artifact emission for the figure binaries.
 //!
 //! Figures print their series to stdout; the machine-readable run
-//! artifacts (versioned JSONL + CSV window traces, see
+//! artifacts (versioned JSONL window traces, see
 //! `dap_telemetry::export`) are opt-in so a plain figure run stays a
 //! plain text report. Set `DAP_TELEMETRY=1` to emit them, and
 //! `DAP_TELEMETRY_DIR` to choose where (default `target/telemetry`).
@@ -25,7 +25,7 @@ const TRACE_MIXES: usize = 2;
 const WINDOW_CYCLES: u32 = 64;
 
 /// When `DAP_TELEMETRY` is set (and the build is not `telemetry-off`),
-/// runs a traced DAP companion grid on `config` and writes JSONL + CSV
+/// runs a traced DAP companion grid on `config` and writes JSONL
 /// window-trace artifacts for `figure`, printing the paths and a human
 /// summary of the first trace. No-op otherwise.
 ///

@@ -13,12 +13,13 @@
 //! dapctl trace <benchmark> [--policy <dap|ta-dap>] [--cores N] [--arch A]
 //!              [--instructions N] [--out DIR]
 //!     Run one workload with per-window DAP tracing: print the human
-//!     summary and write versioned JSONL + CSV window-trace artifacts.
+//!     summary and write a versioned JSONL window-trace artifact.
 //! dapctl trace summarize <file> [--lenient-ok]
-//!     Read a window-trace artifact (JSONL or CSV) leniently and print
-//!     its human summary. Corrupt record lines are skipped with a
-//!     `N records unparseable` warning and exit status 4 — pass
-//!     --lenient-ok to accept partial artifacts with exit 0.
+//!     Read a JSONL window-trace artifact and print its human summary.
+//!     Corrupt record lines are skipped with an `N records unparseable`
+//!     warning, records the header declares but the file lacks draw an
+//!     `N records missing` warning, and either gives exit status 4 —
+//!     pass --lenient-ok to accept partial artifacts with exit 0.
 //! dapctl serve [--socket PATH | --tcp ADDR] [--resolve-every N]
 //!              [--max-conns N] [--deadline-ms MS] [--metrics-addr ADDR]
 //!              [--flight-dump PATH]
@@ -101,7 +102,7 @@ subcommands:
   run <bench>                Run one rate-N workload and print statistics.
   record <bench> <file>      Record a clone's access trace to a DAPTRACE file.
   replay <file>              Drive every core with a recorded trace.
-  trace <bench>              Run with per-window DAP tracing; write artifacts.
+  trace <bench>              Run with per-window DAP tracing; write a trace.
   trace summarize <file>     Summarize a window-trace artifact leniently.
   explore                    Explore a design-space grid with a crash-
                              tolerant multi-process worker fleet.
@@ -143,8 +144,9 @@ fn usage() -> ! {
 /// a malformed flag.
 const EXIT_UNKNOWN_SUBCOMMAND: i32 = 5;
 
-/// Exit status when `trace summarize` skipped unparseable records and
-/// `--lenient-ok` was not given. Distinct from usage errors (2).
+/// Exit status when `trace summarize` skipped unparseable records or
+/// found declared records missing, and `--lenient-ok` was not given.
+/// Distinct from usage errors (2).
 const EXIT_PARSE_ERRORS: i32 = 4;
 
 struct Args {
@@ -527,20 +529,15 @@ fn main() {
                 // extension instead of `with_extension`, which truncates.
                 let stem = format!("{bench}-rate{}-{}", args.cores, args.arch);
                 let jsonl = out.join(format!("{stem}.jsonl"));
-                let csv = out.join(format!("{stem}.csv"));
-                for result in [
-                    dap_telemetry::export::write_window_trace_jsonl(&jsonl, &meta, &trace),
-                    dap_telemetry::export::write_window_trace_csv(&csv, &meta, &trace),
-                ] {
-                    if let Err(e) = result {
-                        eprintln!("error: {e}");
-                        std::process::exit(1);
-                    }
+                if let Err(e) =
+                    dap_telemetry::export::write_window_trace_jsonl(&jsonl, &meta, &trace)
+                {
+                    eprintln!("error: {e}");
+                    std::process::exit(1);
                 }
                 println!();
-                println!("artifacts:");
+                println!("artifact:");
                 println!("  {}", jsonl.display());
-                println!("  {}", csv.display());
             }
             Some("help") => print!("{HELP}"),
             Some("explore") => explore(&args),
@@ -1174,51 +1171,25 @@ fn loadgen(args: &Args) {
     }
 }
 
-/// `dapctl trace summarize`: reads a window-trace artifact leniently
-/// (JSONL or CSV by extension) and prints the human digest. Unparseable
-/// record lines are skipped with a warning; unless `--lenient-ok` is
-/// given, they make the process exit with [`EXIT_PARSE_ERRORS`].
+/// `dapctl trace summarize`: reads a window-trace artifact and prints
+/// the human digest. Unparseable record lines and records the header
+/// declares but the file lacks are reported with a warning; unless
+/// `--lenient-ok` is given, either makes the process exit with
+/// [`EXIT_PARSE_ERRORS`].
 fn summarize_artifact(file: &str, lenient_ok: bool) {
-    let path = std::path::Path::new(file);
-    let parse_errors = if path.extension().is_some_and(|e| e == "csv") {
-        match dap_telemetry::export::read_window_trace_csv_lenient(path) {
-            Ok(recovered) => {
-                // The lenient CSV reader reconstructs records only; the
-                // window length lives in the JSONL twin's header.
-                let meta = TraceMeta {
-                    label: file.to_string(),
-                    arch: String::new(),
-                    window_cycles: 0,
-                };
-                let trace = dap_telemetry::WindowTrace {
-                    records: recovered.records,
-                    spilled: 0,
-                    dropped: 0,
-                };
-                print!("{}", dap_telemetry::summarize(&meta, &trace));
-                recovered.parse_errors
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        match dap_telemetry::export::read_window_trace_jsonl_lenient(path) {
-            Ok(recovered) => {
-                print!("{}", dap_telemetry::summarize_recovered(&recovered));
-                recovered.parse_errors
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
-    if parse_errors > 0 {
-        eprintln!("warning: {parse_errors} records unparseable");
-        if !lenient_ok {
-            std::process::exit(EXIT_PARSE_ERRORS);
-        }
+    let recovered = dap_telemetry::export::read_window_trace_jsonl(std::path::Path::new(file))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
+    print!("{}", dap_telemetry::summarize_recovered(&recovered));
+    if recovered.parse_errors > 0 {
+        eprintln!("warning: {} records unparseable", recovered.parse_errors);
+    }
+    if recovered.missing > 0 {
+        eprintln!("warning: {} records missing", recovered.missing);
+    }
+    if recovered.parse_errors + recovered.missing > 0 && !lenient_ok {
+        std::process::exit(EXIT_PARSE_ERRORS);
     }
 }

@@ -38,7 +38,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
-use crate::telemetry::{SourceFractions, WindowSnapshot, MAX_SOURCES};
+use crate::telemetry::{WindowSnapshot, MAX_SOURCES};
 use crate::window::WindowStats;
 
 /// Whether this build performs audit checks (`false` under `audit-off`).
@@ -612,16 +612,6 @@ pub fn report_violation(mode: AuditMode, violation: AuditViolation) {
         // invariant: see WindowAuditor::record — deliberate fail-fast on
         // internal consistency bugs only.
         panic!("{violation}");
-    }
-}
-
-/// A placeholder [`SourceFractions`] at the two-source uniform ideal,
-/// used only to build snapshots for paths that never read fractions.
-pub fn trivial_fractions() -> SourceFractions {
-    SourceFractions {
-        sources: 2,
-        solved: [0.5, 0.5, 0.0],
-        ideal: [0.5, 0.5, 0.0],
     }
 }
 

@@ -126,11 +126,6 @@ impl DapController {
         }
     }
 
-    /// The measured-bandwidth input currently in effect, if any.
-    pub fn effective_bandwidth(&self) -> Option<&EffectiveBandwidth> {
-        self.effective.as_ref()
-    }
-
     /// How many times a measured-bandwidth change re-derived the budget.
     pub fn bandwidth_resolves(&self) -> u64 {
         self.decisions.bandwidth_resolves

@@ -17,6 +17,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::alloy::AlloyPlan;
+use crate::bandwidth::proportional_split;
 use crate::edram::EdramPlan;
 use crate::ratio::Ratio;
 use crate::sectored::SectoredPlan;
@@ -205,15 +206,8 @@ fn weighted(
 ) -> SourceFractions {
     let n = usize::from(sources);
     let mut ideal = [0.0; MAX_SOURCES];
-    let weight_sum: f64 = weights[..n].iter().map(|w| w.max(0.0)).sum();
-    if weight_sum > 0.0 {
-        for i in 0..n {
-            ideal[i] = weights[i].max(0.0) / weight_sum;
-        }
-    } else {
-        for slot in ideal.iter_mut().take(n) {
-            *slot = 1.0 / n as f64;
-        }
+    if !proportional_split(&weights.map(|w| w.max(0.0))[..n], &mut ideal[..n]) {
+        ideal[..n].fill(1.0 / n as f64);
     }
     let total: f64 = after[..n].iter().sum();
     let mut solved = ideal;

@@ -27,6 +27,7 @@
 //! the measured rate. A backend that simply wasn't exercised keeps its
 //! previous estimate (absence of evidence is not darkness).
 
+use dap_decide::bandwidth::proportional_split;
 use dap_decide::config::DapConfig;
 use dap_decide::degrade::{degraded_k, EffectiveBandwidth};
 use dap_telemetry::json::{obj, Json};
@@ -724,13 +725,8 @@ impl Engine {
     }
 
     fn recompute_weights(&mut self) {
-        let total: f64 = self.effective_gbps.iter().sum();
-        if total > 0.0 {
-            // Eq. 4: f_i = B_i / ΣB over *measured* rates.
-            for (w, &g) in self.weights.iter_mut().zip(&self.effective_gbps) {
-                *w = g / total;
-            }
-        } else {
+        // Eq. 4: f_i = B_i / ΣB over *measured* rates.
+        if !proportional_split(&self.effective_gbps, &mut self.weights) {
             // Every backend dark: fall back to nominal proportions so
             // routing stays defined (the operator's least-bad guess).
             self.m_all_dark.incr();

@@ -128,10 +128,48 @@ pub fn delivered_bandwidth(sources: &[BandwidthSource], fractions: &[f64]) -> f6
     min
 }
 
+/// Eq. 4 over raw rates: writes `f_i = B_i / sum(B)` into `fractions`.
+///
+/// This is the workspace's one computation of the bandwidth-proportional
+/// split: the sum runs left to right and each fraction is one division,
+/// so every caller gets the same bits. It does not allocate, which keeps
+/// `dapd`'s re-solve path allocation-free.
+///
+/// Returns `false`, leaving `fractions` untouched, when every source is
+/// dark (`sum(B)` is not positive): there is no stream to partition, and
+/// each caller chooses its own fallback.
+///
+/// # Panics
+///
+/// Panics if `rates` and `fractions` differ in length.
+///
+/// ```
+/// use dap_decide::bandwidth::proportional_split;
+/// let mut f = [0.0; 2];
+/// assert!(proportional_split(&[102.4, 51.2], &mut f));
+/// assert!((f[0] - 2.0 / 3.0).abs() < 1e-12);
+/// assert!(!proportional_split(&[0.0, 0.0], &mut f), "all dark");
+/// ```
+#[must_use = "an all-dark input leaves the fractions unwritten"]
+pub fn proportional_split(rates: &[f64], fractions: &mut [f64]) -> bool {
+    assert_eq!(rates.len(), fractions.len(), "one fraction per source");
+    let total: f64 = rates.iter().sum();
+    if total > 0.0 {
+        for (f, &b) in fractions.iter_mut().zip(rates) {
+            *f = b / total;
+        }
+        true
+    } else {
+        false
+    }
+}
+
 /// Optimal access fractions (Eq. 3): `f_i = B_i / sum(B)`.
 ///
 /// Distributing accesses in proportion to source bandwidths equalizes
 /// `B_i / f_i` and achieves the maximum delivered bandwidth `sum(B_i)`.
+/// Every source dark yields all-zero fractions (not NaN from 0/0), which
+/// keeps downstream arithmetic sane.
 ///
 /// # Panics
 ///
@@ -148,13 +186,11 @@ pub fn delivered_bandwidth(sources: &[BandwidthSource], fractions: &[f64]) -> f6
 /// ```
 pub fn optimal_fractions(sources: &[BandwidthSource]) -> Vec<f64> {
     assert!(!sources.is_empty(), "need at least one source");
-    let total: f64 = sources.iter().map(|s| s.accesses_per_sec).sum();
-    if total <= 0.0 {
-        // Every source dark: there is no stream to partition. All-zero
-        // fractions (not NaN from 0/0) keep downstream arithmetic sane.
-        return vec![0.0; sources.len()];
-    }
-    sources.iter().map(|s| s.accesses_per_sec / total).collect()
+    let rates: Vec<f64> = sources.iter().map(|s| s.accesses_per_sec).collect();
+    let mut fractions = vec![0.0; sources.len()];
+    // All dark: the zeros stay.
+    let _ = proportional_split(&rates, &mut fractions);
+    fractions
 }
 
 /// A multi-source system together with its maintenance inflation factor `C`.
@@ -198,12 +234,6 @@ impl SystemBandwidth {
     /// Optimal fractions of the (inflated) access stream per source.
     pub fn optimal_fractions(&self) -> Vec<f64> {
         optimal_fractions(&self.sources)
-    }
-
-    /// Delivered demand bandwidth for a given partition of the inflated
-    /// stream: `min_i(B_i/f_i) / C`.
-    pub fn delivered_demand_bandwidth(&self, fractions: &[f64]) -> f64 {
-        delivered_bandwidth(&self.sources, fractions) / self.inflation
     }
 
     /// How far a measured per-source access split is from optimal, as the
@@ -342,6 +372,18 @@ mod tests {
     }
 
     #[test]
+    fn proportional_split_keeps_the_two_source_closed_form_bits() {
+        // FlatTier's and BATMAN's targets are a two-source split, and
+        // figure output depends on their exact bits: the split must equal
+        // the closed form `a / (a + b)`.
+        for (a, b) in [(102.4, 38.4), (51.2, 51.2), (1e-3, 7.0), (38.4, 0.0)] {
+            let mut f = [0.0; 2];
+            assert!(proportional_split(&[a, b], &mut f));
+            assert_eq!(f[0].to_bits(), (a / (a + b)).to_bits(), "{a} / ({a} + {b})");
+        }
+    }
+
+    #[test]
     fn inflation_scales_max_demand_bandwidth() {
         let sys = SystemBandwidth::new(
             vec![
@@ -426,6 +468,10 @@ mod tests {
         let f = optimal_fractions(&sources);
         assert_eq!(f, vec![0.0, 0.0], "no NaN from 0/0");
         assert_eq!(delivered_bandwidth(&sources, &f), 0.0);
+        // The split itself writes nothing: the fallback is the caller's.
+        let mut kept = [0.25, 0.75];
+        assert!(!proportional_split(&[0.0, 0.0], &mut kept));
+        assert_eq!(kept, [0.25, 0.75]);
     }
 
     #[test]

@@ -99,28 +99,6 @@ impl DapConfig {
         }
     }
 
-    /// Replaces the window length (Table I sweeps 32/64/128).
-    pub fn with_window(mut self, window_cycles: u32) -> Self {
-        self.window_cycles = window_cycles;
-        self
-    }
-
-    /// Replaces the bandwidth efficiency (Table I sweeps 0.5/0.75/1.0).
-    pub fn with_efficiency(mut self, efficiency: f64) -> Self {
-        self.efficiency = efficiency;
-        self
-    }
-
-    /// Replaces the cache and main-memory bandwidths (Fig. 9/10 sweeps).
-    pub fn with_bandwidths(mut self, cache_gbps: f64, mm_gbps: f64) -> Self {
-        self.cache_gbps = cache_gbps;
-        self.mm_gbps = mm_gbps;
-        if self.split_channel_gbps.is_some() {
-            self.split_channel_gbps = Some(cache_gbps);
-        }
-        self
-    }
-
     /// Derives the per-window budgets.
     pub fn budget(&self) -> WindowBudget {
         WindowBudget::from_gbps(

@@ -18,9 +18,7 @@
 
 use std::path::{Path, PathBuf};
 
-use dap_telemetry::export::{
-    write_window_trace_csv, write_window_trace_jsonl, ArtifactError, TraceMeta,
-};
+use dap_telemetry::export::{write_window_trace_jsonl, ArtifactError, TraceMeta};
 use dap_telemetry::metrics::MetricsSnapshot;
 use dap_telemetry::window::WindowTrace;
 
@@ -60,9 +58,9 @@ pub fn artifact_dir_from_env() -> Option<PathBuf> {
     )
 }
 
-/// Writes one variant's window traces as versioned JSONL + CSV pairs
-/// under `dir` (`<dir>/<figure>/<variant>/<mix>.{jsonl,csv}`), creating
-/// directories as needed. Returns the paths written.
+/// Writes one variant's window traces as versioned JSONL artifacts under
+/// `dir` (`<dir>/<figure>/<variant>/<mix>.jsonl`), creating directories
+/// as needed. Returns the paths written.
 ///
 /// # Errors
 ///
@@ -89,11 +87,8 @@ pub fn export_variant_traces(
         // at the last dot and collide e.g. soplex.ref with soplex.pds).
         let base = dir.join(safe(figure)).join(safe(&variant.label));
         let jsonl = base.join(format!("{}.jsonl", safe(mix_name)));
-        let csv = base.join(format!("{}.csv", safe(mix_name)));
         write_window_trace_jsonl(&jsonl, &meta, trace)?;
-        write_window_trace_csv(&csv, &meta, trace)?;
         written.push(jsonl);
-        written.push(csv);
     }
     Ok(written)
 }
@@ -194,14 +189,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let written =
             export_variant_traces(&dir, "fig-test", 64, &grid.telemetry[0]).expect("export");
-        assert_eq!(written.len(), 2, "one jsonl + one csv");
-        for path in &written {
-            assert!(path.exists(), "{} missing", path.display());
-        }
-        let (meta, trace) =
-            dap_telemetry::export::read_window_trace_jsonl(&written[0]).expect("parse back");
-        assert_eq!(meta.arch, "sectored");
-        assert!(!trace.records.is_empty());
+        assert_eq!(written.len(), 1, "one jsonl per traced mix");
+        assert!(written[0].exists(), "{} missing", written[0].display());
+        let back = dap_telemetry::export::read_window_trace_jsonl(&written[0]).expect("parse back");
+        assert_eq!(back.meta.arch, "sectored");
+        assert!(!back.trace.records.is_empty());
+        assert_eq!((back.parse_errors, back.missing), (0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

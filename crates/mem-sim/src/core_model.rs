@@ -48,11 +48,6 @@ impl CoreModel {
         }
     }
 
-    /// The paper's core: four-wide with a 224-entry ROB.
-    pub fn skylake_like() -> Self {
-        Self::new(4, 224)
-    }
-
     /// Instructions retired so far.
     pub fn retired(&self) -> u64 {
         self.retired

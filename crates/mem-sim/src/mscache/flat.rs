@@ -20,6 +20,8 @@
 
 use std::collections::{HashMap, HashSet};
 
+use dap_core::bandwidth::proportional_split;
+
 use crate::clock::Cycle;
 use crate::dram::{DramConfig, DramModule};
 
@@ -67,12 +69,14 @@ impl FlatTier {
     ) -> Self {
         let capacity_pages = (capacity_bytes / (PAGE_BLOCKS * 64)) as usize;
         assert!(capacity_pages > 0, "fast tier must hold at least one page");
-        let fast_gbps = dram.peak_gbps();
+        // Eq. 4's fast-tier share; with both tiers dark it stays 0.
+        let mut split = [0.0; 2];
+        let _ = proportional_split(&[dram.peak_gbps(), mm_gbps], &mut split);
         Self {
             fast: DramModule::new(dram, cpu_mhz),
             goal,
             capacity_pages,
-            fast_fraction_target: fast_gbps / (fast_gbps + mm_gbps),
+            fast_fraction_target: split[0],
             fast_pages: HashSet::new(),
             counts: HashMap::new(),
             epoch_accesses: 0,

@@ -10,6 +10,7 @@
 //! happens even when the cache has bandwidth headroom — all emerge from
 //! this mechanism.
 
+use dap_core::bandwidth::proportional_split;
 use mem_sim::clock::Cycle;
 use mem_sim::{Observation, Partitioner};
 
@@ -44,8 +45,11 @@ impl Batman {
             cache_gbps > 0.0 && mm_gbps > 0.0,
             "bandwidths must be positive"
         );
+        // The assert above rules out the all-dark case.
+        let mut split = [0.0; 2];
+        let _ = proportional_split(&[cache_gbps, mm_gbps], &mut split);
         Self {
-            target: cache_gbps / (cache_gbps + mm_gbps),
+            target: split[0],
             total_sets,
             disabled: 0,
             epoch_demand: 0,

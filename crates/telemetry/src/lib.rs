@@ -12,9 +12,10 @@
 //!   implementing `dap_core`'s `TelemetrySink`: it captures every
 //!   [`WindowSnapshot`](dap_core::WindowSnapshot) in a bounded ring
 //!   buffer, optionally spilling overflow to a writer as JSONL.
-//! * [`export`] — versioned JSONL and CSV run artifacts (schema
-//!   [`export::SCHEMA_VERSION`]) with round-trip parsers, parent-directory
-//!   creation, and path-reporting errors.
+//! * [`export`] — the versioned JSONL window-trace artifact (schema
+//!   [`export::SCHEMA_VERSION`]): one writer, one reader that skips and
+//!   counts what it cannot recover, parent-directory creation, and
+//!   path-reporting errors.
 //! * [`summary`] — human-readable digests of window traces, metrics
 //!   snapshots (with percentile columns), and profiler rollups.
 //! * [`percentile`] — p50/p90/p99/p999 estimation from histogram bucket
@@ -61,9 +62,7 @@ pub mod percentile;
 pub mod summary;
 pub mod window;
 
-pub use export::{
-    ArtifactError, RecoveredCsvTrace, RecoveredWindowTrace, TraceMeta, SCHEMA_NAME, SCHEMA_VERSION,
-};
+pub use export::{ArtifactError, RecoveredWindowTrace, TraceMeta, SCHEMA_NAME, SCHEMA_VERSION};
 pub use exposition::{check_exposition, labeled, metric_family, render_exposition};
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use http::{OpsResponse, OpsRouter, OpsServer, OpsServerConfig};

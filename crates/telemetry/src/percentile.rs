@@ -29,11 +29,6 @@ pub struct Percentiles {
     pub p999: u64,
 }
 
-impl Percentiles {
-    /// The quantiles [`percentiles_from_buckets`] estimates, in order.
-    pub const QUANTILES: [f64; 4] = [0.50, 0.90, 0.99, 0.999];
-}
-
 /// Smallest bucket upper bound covering at least `q` (clamped to
 /// `[0, 1]`) of the samples in `buckets`, or `None` if all buckets are
 /// empty (the defined empty-histogram sentinel).

@@ -1,6 +1,6 @@
 //! Human-readable digest of a window trace.
 //!
-//! The JSONL/CSV artifacts are for machines; [`summarize`] renders the
+//! The JSONL artifact is for machines; [`summarize`] renders the
 //! same trace as a few lines a person can read in a terminal — window
 //! counts, how often the controller actually partitioned, total technique
 //! credits granted vs. applied, and how close the solved fractions sat to
@@ -204,8 +204,8 @@ pub fn summarize_profile_windows(windows: &[ProfileWindow]) -> String {
     out
 }
 
-/// Renders the summary of a leniently-read artifact, appending the count
-/// of corrupt lines that were skipped (when any were).
+/// Renders the summary of a read-back artifact, appending the counts of
+/// corrupt lines skipped and of declared records missing (when any).
 pub fn summarize_recovered(recovered: &RecoveredWindowTrace) -> String {
     let mut out = summarize(&recovered.meta, &recovered.trace);
     if recovered.parse_errors > 0 {
@@ -213,6 +213,13 @@ pub fn summarize_recovered(recovered: &RecoveredWindowTrace) -> String {
             out,
             "parse_errors: {} corrupt record line(s) skipped",
             recovered.parse_errors
+        );
+    }
+    if recovered.missing > 0 {
+        let _ = writeln!(
+            out,
+            "missing: {} record(s) the header declares are absent",
+            recovered.missing
         );
     }
     out
