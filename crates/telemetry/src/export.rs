@@ -105,7 +105,7 @@ fn io_err<'a>(
 /// # Errors
 ///
 /// Returns an [`ArtifactError::Io`] naming the directory on failure.
-pub fn ensure_parent_dir(path: &Path) -> Result<(), ArtifactError> {
+fn ensure_parent_dir(path: &Path) -> Result<(), ArtifactError> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             fs::create_dir_all(parent).map_err(io_err("create directory", parent))?;
@@ -167,7 +167,7 @@ fn window_json(snapshot: &WindowSnapshot) -> Json {
 /// trailing newline). Used for both the JSONL artifact body and the
 /// recorder's spill writer, so spilled and retained records share one
 /// format.
-pub fn window_jsonl_line(snapshot: &WindowSnapshot) -> String {
+pub(crate) fn window_jsonl_line(snapshot: &WindowSnapshot) -> String {
     window_json(snapshot).to_string_compact()
 }
 
@@ -217,7 +217,7 @@ fn fractions_from_json(value: &Json, key: &str, sources: u8) -> Result<[f64; 3],
 /// # Errors
 ///
 /// Returns a description of the first missing or ill-typed field.
-pub fn window_from_jsonl_line(line: &str) -> Result<WindowSnapshot, String> {
+fn window_from_jsonl_line(line: &str) -> Result<WindowSnapshot, String> {
     let value = parse(line)?;
     let stats = value.get("stats").ok_or("missing object field `stats`")?;
     let sources =
@@ -273,7 +273,7 @@ fn header_json(meta: &TraceMeta, trace: &WindowTrace) -> Json {
 }
 
 /// Renders a full JSONL artifact (header line + one line per window).
-pub fn window_trace_jsonl(meta: &TraceMeta, trace: &WindowTrace) -> String {
+fn window_trace_jsonl(meta: &TraceMeta, trace: &WindowTrace) -> String {
     let mut out = header_json(meta, trace).to_string_compact();
     out.push('\n');
     for record in &trace.records {
